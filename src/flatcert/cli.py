@@ -19,7 +19,7 @@ click.exceptions.UsageError.exit_code = 1
 from . import errors
 from .flats import CommutingFamily, flat_certificate
 from .linalg import block_decompose
-from .manifold import InvalidGraphRep, gluing_covariance, npc_certificate, validate
+from .manifold import InvalidGraphRep, graph_certificate
 from .places import classify as classify_element
 from .places import direction_profile, drift_profile
 from .report import (
@@ -201,20 +201,19 @@ def graph(opts: Options, file):
     try:
         with open(file, "r", encoding="utf-8") as fh:
             rep = parse_graph(fh.read())
-        violations = validate(rep)
-        if violations:
+        try:
+            result, reports = graph_certificate(rep, opts.pd_epsilon, tol=opts.tolerance)
+        except InvalidGraphRep as e:
             opts.emit(
                 {
                     "tag": "Invalid",
                     "violations": [
                         {"torus": v.torus, "kind": v.kind, "detail": v.detail}
-                        for v in violations
+                        for v in e.violations
                     ],
                 },
                 code=1,
             )
-        result = npc_certificate(rep, opts.pd_epsilon, tol=opts.tolerance)
-        reports = gluing_covariance(rep, tol=opts.tolerance)
         opts.emit(
             npc_dict(result, reports),
             code=0 if result.tag == "NPC" else 2,

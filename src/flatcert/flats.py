@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -171,7 +171,8 @@ class FlatCertificate:
 
     For Degenerate, lattice_rank is the number of independent verified
     drift directions that remain, and null_vectors lists every verified
-    independent integer null vector.
+    independent integer null vector.  gram is the Gram matrix the
+    certificate was decided on.
     """
 
     tag: str
@@ -181,6 +182,7 @@ class FlatCertificate:
     witness_word: str | None = None
     witness_class: Classification | None = None
     null_vectors: tuple[tuple[int, ...], ...] | None = None
+    gram: GramData | None = field(default=None, repr=False, compare=False)
 
 
 def _primitive(vec: list[Fraction]) -> tuple[int, ...] | None:
@@ -318,7 +320,7 @@ def flat_certificate(
                 "floating Gram is positive definite but the exact non-archimedean part is not PSD"
             )
         covolume = math.sqrt(max(float(np.linalg.det(combined)), 0.0))
-        return FlatCertificate(tag="Lattice", rank=r, covolume=covolume)
+        return FlatCertificate(tag="Lattice", rank=r, covolume=covolume, gram=g)
 
     threshold = pd_epsilon * max(trace, 0.0)
     verified: list[tuple[tuple[int, ...], str, Classification]] = []
@@ -344,6 +346,7 @@ def flat_certificate(
         witness_word=primary_word,
         witness_class=primary_class,
         null_vectors=tuple(independent),
+        gram=g,
     )
 
 

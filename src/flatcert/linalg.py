@@ -1,7 +1,8 @@
 """Exact square-matrix algebra over Q and Q(alpha).
 
-Characteristic polynomials are computed by Faddeev-LeVerrier (the test
-suite cross-checks against determinant interpolation), kernels by
+Characteristic polynomials are computed by division-free Berkowitz on the
+cleared-denominator integer matrix (the test suite cross-checks against
+Faddeev-LeVerrier and determinant interpolation), kernels by
 fraction-free Bareiss elimination, and commuting families are split into
 blocks on which every generator's characteristic polynomial is a power of
 a single Q-irreducible.
@@ -9,6 +10,7 @@ a single Q-irreducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +23,6 @@ from .exact.poly import Poly, factor_q
 __all__ = [
     "SqMatrix",
     "charpoly",
-    "charpoly_interpolation",
     "embed_regular",
     "kernel_basis",
     "is_unipotent",
@@ -322,46 +323,41 @@ def _det_elimination(m: SqMatrix):
 def charpoly(m: SqMatrix) -> Poly:
     """Monic characteristic polynomial det(xI - m), exact, over Q.
 
-    Faddeev-LeVerrier: M_0 = I, c_{n-k} = -tr(m M_{k-1})/k,
-    M_k = m M_{k-1} + c_{n-k} I.
+    Division-free Berkowitz on the integer matrix A = D m, D the lcm of the
+    entry denominators; since det(xI - A) = D^n det((x/D) I - m), the
+    coefficient of x^k is rescaled as c_k(m) = c_k(A) / D^(n-k).
     """
     if m.field is not None:
         raise DimensionMismatch("charpoly is defined over Q; embed_regular first")
     n = m.n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = SqMatrix.identity(n)
-    for k in range(1, n + 1):
-        mmk = m * mk
-        c = -mmk.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            mk = mmk + SqMatrix.identity(n).scale(c)
-    return Poly(coeffs)
+    d = m.denominator_lcm()
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.rows]
+    p = _berkowitz(a)
+    return Poly([Fraction(p[n - k], d ** (n - k)) for k in range(n + 1)])
 
 
-def charpoly_interpolation(m: SqMatrix) -> Poly:
-    """Independent characteristic polynomial via determinant interpolation.
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - a), highest degree first, with ring
+    operations only.
 
-    Evaluates det(kI - m) exactly at k = 0..n and Lagrange-interpolates;
-    used as the redundancy oracle for charpoly.
+    Step k borders the leading k x k block M with row R = a[k][:k], column
+    C = a[:k][k] and corner a[k][k]; the new polynomial is the Toeplitz
+    product of (1, -a[k][k], -RC, -RMC, ..., -RM^(k-1)C) with the old one.
     """
-    n = m.n
-    xs = list(range(n + 1))
-    ys = []
-    for k in xs:
-        shifted = SqMatrix.identity(n).scale(Fraction(k)) - m
-        ys.append(shifted.det())
-    result = Poly()
-    for i, xi in enumerate(xs):
-        term = Poly([1])
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i != j:
-                term = term * Poly([-xj, 1])
-                denom *= xi - xj
-        result = result + term * (ys[i] / denom)
-    return result
+    p = [1]
+    for k in range(len(a)):
+        block = [r[:k] for r in a[:k]]
+        row = a[k][:k]
+        col = [r[k] for r in a[:k]]
+        toeplitz = [1, -a[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * c for x, c in zip(row, col)))
+            col = [sum(x * c for x, c in zip(r, col)) for r in block]
+        p = [
+            sum(toeplitz[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return p
 
 
 def embed_regular(m: SqMatrix) -> SqMatrix:
@@ -478,9 +474,10 @@ def _is_zero(m: SqMatrix) -> bool:
     return all(x == 0 for row in m.rows for x in row)
 
 
+@functools.cache
 def order_bound(n: int) -> int:
     """max { k : phi(k) <= n }: a root of unity of degree <= n over Q has
-    order at most this."""
+    order at most this.  Memoized: one entry per matrix size seen."""
     # phi(k) >= sqrt(k/2), so k <= 2 n^2 suffices as a search window
     best = 1
     for k in range(1, 2 * n * n + 1):

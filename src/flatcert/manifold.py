@@ -38,6 +38,7 @@ __all__ = [
     "NpcResult",
     "gluing_covariance",
     "GluingReport",
+    "graph_certificate",
     "InvalidGraphRep",
 ]
 
@@ -161,6 +162,12 @@ class NpcResult:
     witness_class: Classification | None = None
 
 
+def _require_valid(rep: GraphRep) -> None:
+    violations = validate(rep)
+    if violations:
+        raise InvalidGraphRep(violations)
+
+
 def npc_certificate(
     rep: GraphRep, pd_epsilon: float | None = None, *, tol: float = 1e-12
 ) -> NpcResult:
@@ -171,13 +178,15 @@ def npc_certificate(
     metric; any degenerate torus yields a nontrivial basis word with
     unipotent / virtually unipotent / trivial image, the obstruction.
     """
-    violations = validate(rep)
-    if violations:
-        raise InvalidGraphRep(violations)
+    _require_valid(rep)
+    return _npc_certificate(rep, pd_epsilon, tol)
+
+
+def _npc_certificate(rep: GraphRep, pd_epsilon: float | None, tol: float) -> NpcResult:
+    eps = PD_EPSILON if pd_epsilon is None else pd_epsilon
 
     def per_torus(t: TorusRep) -> tuple[str, FlatCertificate]:
         family = CommutingFamily.build(t.named_gens(), places=rep.places)
-        eps = PD_EPSILON if pd_epsilon is None else pd_epsilon
         return t.id, flat_certificate(family, eps, tol=tol)
 
     certs = tuple(pmap(per_torus, rep.tori))
@@ -222,21 +231,32 @@ def gluing_covariance(rep: GraphRep, *, tol: float = 1e-12) -> list[GluingReport
     failure indicates numerical breakdown (or a bug), never a property of
     the manifold.
     """
-    violations = validate(rep)
-    if violations:
-        raise InvalidGraphRep(violations)
+    _require_valid(rep)
+    glued = {g.torus for g in rep.gluings}
+    base = {
+        t.id: gram(CommutingFamily.build(t.named_gens(), places=rep.places), tol=tol)
+        for t in rep.tori
+        if t.id in glued
+    }
+    return _gluing_covariance(rep, base, tol)
+
+
+def _gluing_covariance(
+    rep: GraphRep, base: dict[str, GramData], tol: float
+) -> list[GluingReport]:
+    """The covariance check against given first-basis Grams; only the
+    second-basis Gram of each gluing is computed here."""
 
     def per_gluing(g: GluingSpec) -> GluingReport:
         t = rep.torus(g.torus)
-        base = gram(CommutingFamily.build(t.named_gens(), places=rep.places), tol=tol)
         gens = {"a": t.a, "b": t.b}
         second_named = [
             (word, word_eval(word, gens)) for word in g.second_basis_words
         ]
         second = gram(CommutingFamily.build(second_named, places=rep.places), tol=tol)
-        u = g.u
-        transported_nonarch = _congruence(base.nonarch, u)
-        transported_arch = _congruence(base.arch, u)
+        u, first = g.u, base[g.torus]
+        transported_nonarch = _congruence(first.nonarch, u)
+        transported_arch = _congruence(first.arch, u)
         exact, worst = _gram_close(second, transported_nonarch, transported_arch)
         return GluingReport(
             torus=g.torus,
@@ -246,6 +266,17 @@ def gluing_covariance(rep: GraphRep, *, tol: float = 1e-12) -> list[GluingReport
         )
 
     return pmap(per_gluing, rep.gluings)
+
+
+def graph_certificate(
+    rep: GraphRep, pd_epsilon: float | None = None, *, tol: float = 1e-12
+) -> tuple[NpcResult, list[GluingReport]]:
+    """npc_certificate and gluing_covariance on one validation, with the
+    gluing check reusing the torus Grams of the flat certificates."""
+    _require_valid(rep)
+    result = _npc_certificate(rep, pd_epsilon, tol)
+    base = {torus_id: cert.gram for torus_id, cert in result.tori}
+    return result, _gluing_covariance(rep, base, tol)
 
 
 def _congruence(g, u):

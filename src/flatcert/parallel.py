@@ -1,33 +1,13 @@
-"""Worker pool sized by FLATCERT_THREADS (default: cpu count).
+"""Serial map over per-place and per-torus work.
 
-All mapped functions are pure, so results are collected in input order and
-output stays deterministic regardless of the worker count.
+The mapped work is pure Python under the interpreter lock, so a thread pool
+ran no faster than one thread; results come back in input order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-__all__ = ["worker_count", "pmap"]
-
-
-def worker_count() -> int:
-    env = os.environ.get("FLATCERT_THREADS")
-    if env:
-        try:
-            k = int(env)
-        except ValueError:
-            k = 0
-        if k >= 1:
-            return k
-    return os.cpu_count() or 1
+__all__ = ["pmap"]
 
 
 def pmap(fn, items) -> list:
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    return [fn(x) for x in items]

@@ -127,19 +127,6 @@ def render_word(expr: WordExpr) -> str:
     raise TypeError(f"not a word expression: {expr!r}")
 
 
-def word_names(expr: WordExpr) -> set[str]:
-    if isinstance(expr, Name):
-        return {expr.name}
-    if isinstance(expr, Power):
-        return word_names(expr.base)
-    if isinstance(expr, Product):
-        out: set[str] = set()
-        for f in expr.factors:
-            out |= word_names(f)
-        return out
-    raise TypeError(f"not a word expression: {expr!r}")
-
-
 def word_eval(expr: WordExpr | str, gens: dict[str, SqMatrix]) -> SqMatrix:
     """Exact evaluation of a word over named generator matrices."""
     if isinstance(expr, str):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 
-from flatcert import SqMatrix
+from flatcert import Poly, SqMatrix
 
 DET1_ENTRIES = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]
 
@@ -58,3 +58,40 @@ def random_diag_23(rng: random.Random, n: int, exp_range=(-1, 1)) -> SqMatrix:
         diag.append(F(2) ** a * F(3) ** b)
     diag.append(F(2) ** (-ta) * F(3) ** (-tb))
     return SqMatrix.diagonal(diag)
+
+
+# -- characteristic polynomial oracles, independent of flatcert.charpoly ----
+
+
+def charpoly_faddeev_leverrier(m: SqMatrix) -> Poly:
+    """det(xI - m) by Faddeev-LeVerrier over Fraction: M_0 = I,
+    c_{n-k} = -tr(m M_{k-1}) / k, M_k = m M_{k-1} + c_{n-k} I."""
+    n = m.n
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    mk = SqMatrix.identity(n)
+    for k in range(1, n + 1):
+        mmk = m * mk
+        c = -mmk.trace() / k
+        coeffs[n - k] = c
+        if k < n:
+            mk = mmk + SqMatrix.identity(n).scale(c)
+    return Poly(coeffs)
+
+
+def charpoly_interpolation(m: SqMatrix) -> Poly:
+    """det(xI - m) by exact determinants det(kI - m) at k = 0..n and
+    Lagrange interpolation."""
+    n = m.n
+    xs = list(range(n + 1))
+    ys = [(SqMatrix.identity(n).scale(F(k)) - m).det() for k in xs]
+    result = Poly()
+    for i, xi in enumerate(xs):
+        term = Poly([1])
+        denom = F(1)
+        for j, xj in enumerate(xs):
+            if i != j:
+                term = term * Poly([-xj, 1])
+                denom *= xi - xj
+        result = result + term * (ys[i] / denom)
+    return result

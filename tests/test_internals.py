@@ -1,9 +1,9 @@
-"""Exact PSD check, null-vector rationalization, worker pool sizing."""
+"""Exact PSD check, null-vector rationalization, the serial pmap."""
 
 from fractions import Fraction as F
 
 from flatcert.flats import _primitive, _psd_exact, _rationalize
-from flatcert.parallel import pmap, worker_count
+from flatcert.parallel import pmap
 
 
 def test_psd_exact():
@@ -28,23 +28,11 @@ def test_primitive_and_rationalize():
     assert _rationalize(v) == (2, -1)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("FLATCERT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("FLATCERT_THREADS", "not-a-number")
-    assert worker_count() >= 1
-    monkeypatch.delenv("FLATCERT_THREADS")
-    assert worker_count() >= 1
-
-
-def test_pmap_orders_results(monkeypatch):
-    monkeypatch.setenv("FLATCERT_THREADS", "4")
+def test_pmap_orders_results():
     assert pmap(lambda x: x * x, range(10)) == [x * x for x in range(10)]
 
 
-def test_pmap_propagates_errors(monkeypatch):
-    monkeypatch.setenv("FLATCERT_THREADS", "4")
-
+def test_pmap_propagates_errors():
     def boom(x):
         if x == 3:
             raise ValueError("boom")

@@ -1,10 +1,12 @@
-"""Exact matrix algebra: charpoly (two methods), embedding, kernels,
+"""Exact matrix algebra: charpoly against two oracles, embedding, kernels,
 predicates, word evaluation."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcert import (
     Poly,
@@ -20,9 +22,8 @@ from flatcert import (
 )
 from flatcert.errors import DeterminantNotOne, UnknownGenerator
 from flatcert.exact.roots import complex_roots, expand_roots
-from flatcert.linalg import charpoly_interpolation
 
-from conftest import det1_corpus, unimodular
+from conftest import charpoly_faddeev_leverrier, charpoly_interpolation, det1_corpus, unimodular
 
 
 def test_charpoly_examples():
@@ -30,6 +31,29 @@ def test_charpoly_examples():
     assert charpoly(SqMatrix.diagonal([2, F(1, 2)])) == Poly([1, F(-5, 2), 1])
     # trace 3, det 1
     assert charpoly(SqMatrix([[2, 1], [1, 1]])) == Poly([1, -3, 1])
+
+
+def test_charpoly_empty_and_scalar():
+    assert charpoly(SqMatrix([])) == Poly([1])
+    assert charpoly(SqMatrix([[F(-3, 7)]])) == Poly([F(3, 7), 1])
+    assert charpoly(SqMatrix([[0]])) == Poly([0, 1])
+
+
+_ENTRIES = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 12]))
+
+
+@st.composite
+def _rational_matrices(draw):
+    n = draw(st.integers(0, 8))
+    return SqMatrix([[draw(_ENTRIES) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_matrices())
+def test_charpoly_matches_both_oracles(m):
+    cp = charpoly(m)
+    assert cp == charpoly_faddeev_leverrier(m)
+    assert cp == charpoly_interpolation(m)
 
 
 def test_charpoly_two_methods_agree():

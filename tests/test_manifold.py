@@ -1,9 +1,12 @@
 """Graph-manifold checker: validation, NPC/obstruction, gluing covariance."""
 
+import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 from flatcert import (
     GluingSpec,
@@ -16,6 +19,10 @@ from flatcert import (
     validate,
     word_eval,
 )
+from flatcert.cli import main
+from flatcert.flats import gram
+from flatcert.manifold import InvalidGraphRep, graph_certificate
+from flatcert.session import parse_graph
 
 from conftest import unimodular_2x2
 
@@ -113,3 +120,82 @@ def test_rebasing_preserves_npc_tag():
             b2 = a ** u[0][1] * b ** u[1][1]
             result = npc_certificate(_rep(a2, b2))
             assert result.tag == expected
+
+
+GRAPH_DOC = json.dumps(
+    {
+        "tori": [
+            {"id": "T1", "A": [["2", "0"], ["0", "1/2"]], "B": [["3", "0"], ["0", "1/3"]]},
+            {"id": "T2", "A": [["2", "0"], ["0", "1/2"]], "B": [["5", "0"], ["0", "1/5"]]},
+            {"id": "T3", "A": [["1", "1"], ["0", "1"]], "B": [["1", "5"], ["0", "1"]]},
+        ],
+        "gluings": [
+            {"torus": "T1", "U": [[0, 1], [1, 0]], "secondBasisWords": ["b", "a"]},
+            {"torus": "T2", "U": [[1, 1], [0, 1]], "secondBasisWords": ["a", "a*b"]},
+        ],
+    }
+)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Rebind fn under every name any flatcert module holds it by; the
+    returned list grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "flatcert" or name.startswith("flatcert."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_cli_graph_validates_once_and_reuses_base_grams(monkeypatch, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(GRAPH_DOC)
+    validations = _count_calls(monkeypatch, validate)
+    grams = _count_calls(monkeypatch, gram)
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["obstruction"]["torus"] == "T3"
+    assert len(validations) == 1
+    assert len(grams) == 3 + 2  # one per torus, one per second basis
+
+
+def test_graph_certificate_matches_standalone_checks():
+    rep = parse_graph(GRAPH_DOC)
+    result, reports = graph_certificate(rep)
+    assert reports == gluing_covariance(rep)
+    assert [r.ok for r in reports] == [True, True]
+    assert result == npc_certificate(rep)
+
+
+def test_invalid_rep_raises_on_every_entry_point():
+    rep = _rep(U1, SqMatrix([[1, 0], [1, 1]]))
+    for check in (npc_certificate, gluing_covariance, graph_certificate):
+        with pytest.raises(InvalidGraphRep) as info:
+            check(rep)
+        assert {v.kind for v in info.value.violations} == {"NotCommuting"}
+
+
+def test_cli_graph_reports_invalid_rep(tmp_path):
+    path = tmp_path / "graph.json"
+    doc = json.loads(GRAPH_DOC)
+    doc["gluings"][0]["secondBasisWords"] = ["a", "a"]
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {
+        "tag": "Invalid",
+        "violations": [
+            {
+                "torus": "T1",
+                "kind": "BasisMismatch",
+                "detail": "second basis word 'a' does not equal the U-word",
+            }
+        ],
+    }
