@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from ..errors import NotIrreducible, NotMonic
 
 __all__ = [
@@ -245,11 +243,15 @@ def factor_q(p: Poly) -> list[tuple[Poly, int]]:
     Backed by sympy's rational factorizer (squarefree split, modular
     factorization, Hensel lifting); factors are re-normalized to monic and
     ordered by (degree, coefficient tuple) so output is deterministic.
+    sympy is imported here, on first use, because it takes about a third
+    of a second to load and most commands never factor.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
+    import sympy
+
     x = sympy.Symbol("x")
     sp = sympy.Poly(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],

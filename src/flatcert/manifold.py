@@ -12,7 +12,7 @@ obstruction.  No Seifert block topology is consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FlatcertError
 from .flats import (
@@ -85,6 +85,7 @@ class GraphRep:
     tori: tuple[TorusRep, ...]
     gluings: tuple[GluingSpec, ...]
     places: PlaceSet
+    _second_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, tori, gluings, places: PlaceSet | None = None) -> "GraphRep":
@@ -100,6 +101,16 @@ class GraphRep:
             if t.id == torus_id:
                 return t
         raise KeyError(torus_id)
+
+    def second_basis(self, g: GluingSpec) -> tuple[SqMatrix, ...]:
+        """The second-basis words of gluing g evaluated in its torus; each
+        gluing's words are evaluated once per representation, so validation
+        and the covariance check share the matrices."""
+        if g not in self._second_bases:
+            t = self.torus(g.torus)
+            gens = {"a": t.a, "b": t.b}
+            self._second_bases[g] = tuple(word_eval(w, gens) for w in g.second_basis_words)
+        return self._second_bases[g]
 
 
 @dataclass(frozen=True)
@@ -133,14 +144,14 @@ def validate(rep: GraphRep) -> list[Violation]:
             out.append(Violation(g.torus, "BadGluingMatrix", f"det U = {g.det()}"))
             continue
         t = rep.torus(g.torus)
-        gens = {"a": t.a, "b": t.b}
         u = g.u
         expected = (
             t.a ** u[0][0] * t.b ** u[1][0],
             t.a ** u[0][1] * t.b ** u[1][1],
         )
+        second = rep.second_basis(g)
         for k, word in enumerate(g.second_basis_words):
-            if word_eval(word, gens) != expected[k]:
+            if second[k] != expected[k]:
                 out.append(
                     Violation(
                         g.torus,
@@ -248,11 +259,7 @@ def _gluing_covariance(
     second-basis Gram of each gluing is computed here."""
 
     def per_gluing(g: GluingSpec) -> GluingReport:
-        t = rep.torus(g.torus)
-        gens = {"a": t.a, "b": t.b}
-        second_named = [
-            (word, word_eval(word, gens)) for word in g.second_basis_words
-        ]
+        second_named = list(zip(g.second_basis_words, rep.second_basis(g)))
         second = gram(CommutingFamily.build(second_named, places=rep.places), tol=tol)
         u, first = g.u, base[g.torus]
         transported_nonarch = _congruence(first.nonarch, u)

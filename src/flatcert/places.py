@@ -11,16 +11,16 @@ floating archimedean numbers are payload, never evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
 from .exact.newton import newton_slopes
-from .exact.poly import Poly, cyclotomic_index, factor_q
+from .exact.poly import Poly, cyclotomic, cyclotomic_index, factor_q
 from .exact.roots import complex_roots
 from .linalg import SqMatrix, charpoly, is_diagonalizable, order_bound
-from .parallel import pmap
 
 __all__ = [
     "PlaceSet",
@@ -123,7 +123,7 @@ def _check_places_complete(m: SqMatrix, places: PlaceSet):
         raise PlaceSetIncomplete(missing)
 
 
-def _arch_drift(cp: Poly, n: int, tol: float = 1e-12) -> list[float]:
+def _arch_drift(cp: Poly, tol: float) -> list[float]:
     """Sorted log-moduli of the roots of cp.
 
     Computed per irreducible factor so that cyclotomic factors contribute
@@ -131,7 +131,7 @@ def _arch_drift(cp: Poly, n: int, tol: float = 1e-12) -> list[float]:
     fuzz, or the positive-definiteness tests downstream would see it as a
     spurious ballistic direction.
     """
-    bound = order_bound(n)
+    bound = order_bound(cp.degree)
     arch: list[float] = []
     for q, e in factor_q(cp):
         if cyclotomic_index(q, bound) is not None:
@@ -143,34 +143,69 @@ def _arch_drift(cp: Poly, n: int, tol: float = 1e-12) -> list[float]:
     return arch
 
 
+@functools.lru_cache(maxsize=4096)
+def _charpoly_drift(
+    cp: Poly, primes: tuple[int, ...], tol: float
+) -> tuple[tuple[float, ...], tuple[tuple[int, tuple[Fraction, ...]], ...]]:
+    """(arch coordinates, ((p, valuations), ...)) of a charpoly.
+
+    The drift of an element depends on its characteristic polynomial and
+    the place set alone, so it is computed once per distinct charpoly; the
+    result is immutable because every caller shares it.  Raised errors
+    (ToleranceNotReached) are not cached.
+    """
+    arch = tuple(_arch_drift(cp, tol))
+    return arch, tuple((p, newton_slopes(cp, p).valuations) for p in primes)
+
+
 def drift_profile(
     m: SqMatrix, places: PlaceSet, label: str | None = None, *, tol: float = 1e-12
 ) -> DriftProfile:
     """Sorted per-place drift coordinates of a det-1 rational matrix."""
     _check_det_one(m)
     _check_places_complete(m, places)
-    cp = charpoly(m)
-    arch = _arch_drift(cp, m.n, tol)
-    slope_list = pmap(lambda p: newton_slopes(cp, p), places.primes)
-    padic = {s.prime: s.valuations for s in slope_list}
-    return DriftProfile(arch=tuple(arch), padic=padic, label=label)
+    arch, padic = _charpoly_drift(charpoly(m), places.primes, tol)
+    return DriftProfile(arch=arch, padic=dict(padic), label=label)
 
 
 def _quasi_unipotent_order(cp: Poly, n: int) -> int | None:
-    """lcm of the cyclotomic indices of the irreducible factors of cp, or
-    None if some factor is not cyclotomic.
+    """lcm of the k whose cyclotomic polynomial divides cp, or None if cp is
+    not a product of cyclotomic polynomials.
 
-    Valid only when cp has integer coefficients: by Kronecker, a monic
-    integer irreducible with all roots on the unit circle is cyclotomic.
+    Phi_k for k <= order_bound(n) are divided out exactly, on integer
+    coefficient lists, while they divide; since they are irreducible and
+    pairwise coprime, a constant cofactor means every irreducible factor
+    of cp is cyclotomic.  Valid only when cp has integer coefficients: by
+    Kronecker, a monic integer irreducible with all roots on the unit
+    circle is cyclotomic.
     """
-    bound = order_bound(n)
+    c = [int(x) for x in cp.coeffs]
     k0 = 1
-    for q, _ in factor_q(cp):
-        k = cyclotomic_index(q, bound)
-        if k is None:
-            return None
-        k0 = math.lcm(k0, k)
-    return k0
+    for k in range(1, order_bound(n) + 1):
+        phi = [int(x) for x in cyclotomic(k).coeffs]
+        divided = False
+        while len(phi) <= len(c):
+            q = _divide_monic(c, phi)
+            if q is None:
+                break
+            c, divided = q, True
+        if divided:
+            k0 = math.lcm(k0, k)
+    return k0 if len(c) == 1 else None
+
+
+def _divide_monic(c: list[int], d: list[int]) -> list[int] | None:
+    """c / d for a monic integer d (lowest degree first), or None when d
+    does not divide c."""
+    r = list(c)
+    m = len(d) - 1
+    q = [0] * (len(r) - m)
+    for i in range(len(r) - 1, m - 1, -1):
+        t = q[i - m] = r[i]
+        if t:
+            for j in range(m + 1):
+                r[i - m + j] -= t * d[j]
+    return None if any(r[:m]) else q
 
 
 def classify(

@@ -38,23 +38,36 @@ def fraction_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _rational(value) -> Fraction:
+    """An exact rational "p/q" string or integer; anything else, including
+    a zero denominator, is a ParseError."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(0, 'an exact rational "p/q"', value)
+
+
 def parse_scalar(value, field: NumberField | None):
     """One matrix entry: "p/q" string (or int) over Q, coordinate list over
     Q(alpha)."""
     if isinstance(value, bool):
         raise ParseError(0, "a scalar string", value)
     if isinstance(value, (str, int)):
-        q = Fraction(value)
+        q = _rational(value)
         return q if field is None else field.from_rational(q)
     if isinstance(value, list):
         if field is None:
             raise ParseError(0, "a rational string (no number field declared)", value)
-        return field.element([Fraction(c) for c in value])
+        if len(value) > field.degree:
+            raise ParseError(0, f"at most {field.degree} field coordinates", value)
+        return field.element([_rational(c) for c in value])
     raise ParseError(0, "a scalar string or coordinate array", value)
 
 
 def parse_matrix(rows, field: NumberField | None) -> SqMatrix:
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(0, "a nonempty array of matrix rows", rows)
     parsed = [[parse_scalar(x, field) for x in row] for row in rows]
     return SqMatrix(parsed, field)
@@ -82,7 +95,15 @@ def _parse_field(doc) -> NumberField | None:
     coeffs = doc.get("field")
     if coeffs is None:
         return None
-    return make_field(Poly([Fraction(c) for c in coeffs]))
+    if not isinstance(coeffs, list):
+        raise ParseError(0, 'a "field" array of minimal polynomial coefficients', coeffs)
+    minpoly = Poly([_rational(c) for c in coeffs])
+    try:
+        return make_field(minpoly)
+    except ValueError:
+        raise ParseError(
+            0, "an integer minimal polynomial of degree at least 1", coeffs
+        ) from None
 
 
 def parse_session(text: str) -> SessionSpec:
@@ -118,6 +139,11 @@ def parse_session(text: str) -> SessionSpec:
     return SessionSpec(field=field, generators=generators, embedded=embedded, places=places)
 
 
+def _require_keys(obj, keys: tuple[str, ...], expected: str) -> None:
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise ParseError(0, expected, obj)
+
+
 def parse_graph(text: str) -> GraphRep:
     """Parse a graph-representation document into embedded rational form."""
     doc = _load_json(text)
@@ -129,13 +155,18 @@ def parse_graph(text: str) -> GraphRep:
         raise ParseError(0, 'a nonempty "tori" array', tori_doc)
     tori = []
     for t in tori_doc:
+        _require_keys(t, ("id", "A", "B"), 'a torus object with "id", "A" and "B"')
         a = embed_regular(parse_matrix(t["A"], field))
         b = embed_regular(parse_matrix(t["B"], field))
         if a.n != b.n:
             raise DimensionMismatch(f"torus {t['id']!r} basis image dimensions differ")
         tori.append(TorusRep(id=str(t["id"]), a=a, b=b))
     gluings = []
-    for g in doc.get("gluings", []):
+    gluings_doc = doc.get("gluings", [])
+    if not isinstance(gluings_doc, list):
+        raise ParseError(0, 'a "gluings" array', gluings_doc)
+    for g in gluings_doc:
+        _require_keys(g, ("torus", "U"), 'a gluing object with "torus" and "U"')
         u = g["U"]
         if (
             not isinstance(u, list)

@@ -1,9 +1,12 @@
 """Shared corpus builders; everything seeded so runs are reproducible."""
 
+import math
 import random
 from fractions import Fraction as F
 
-from flatcert import Poly, SqMatrix
+from flatcert import Poly, SqMatrix, factor_q
+from flatcert.exact import cyclotomic_index
+from flatcert.linalg import order_bound
 
 DET1_ENTRIES = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]
 
@@ -95,3 +98,19 @@ def charpoly_interpolation(m: SqMatrix) -> Poly:
                 denom *= xi - xj
         result = result + term * (ys[i] / denom)
     return result
+
+
+# -- quasi-unipotent order oracle, by factorization over Q -----------------
+
+
+def quasi_unipotent_order_factor(cp: Poly, n: int) -> int | None:
+    """lcm of the cyclotomic indices of the irreducible factors of cp (by
+    factor_q), or None if some factor is not cyclotomic."""
+    bound = order_bound(n)
+    k0 = 1
+    for q, _ in factor_q(cp):
+        k = cyclotomic_index(q, bound)
+        if k is None:
+            return None
+        k0 = math.lcm(k0, k)
+    return k0

@@ -13,6 +13,7 @@ from flatcert import (
     GraphRep,
     SqMatrix,
     TorusRep,
+    factor_q,
     gluing_covariance,
     is_unipotent,
     npc_certificate,
@@ -22,6 +23,7 @@ from flatcert import (
 from flatcert.cli import main
 from flatcert.flats import gram
 from flatcert.manifold import InvalidGraphRep, graph_certificate
+from flatcert.places import _charpoly_drift
 from flatcert.session import parse_graph
 
 from conftest import unimodular_2x2
@@ -164,6 +166,29 @@ def test_cli_graph_validates_once_and_reuses_base_grams(monkeypatch, tmp_path):
     assert json.loads(res.output)["obstruction"]["torus"] == "T3"
     assert len(validations) == 1
     assert len(grams) == 3 + 2  # one per torus, one per second basis
+
+
+def test_cli_graph_evaluates_each_second_basis_word_once(monkeypatch, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(GRAPH_DOC)
+    evaluated = _count_calls(monkeypatch, word_eval)
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 2, res.output
+    second_basis_words = [w for g in json.loads(GRAPH_DOC)["gluings"] for w in g["secondBasisWords"]]
+    assert sorted(args[0] for args in evaluated) == sorted(second_basis_words)
+
+
+def test_cli_graph_factors_each_charpoly_once(monkeypatch, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(GRAPH_DOC)
+    factored = _count_calls(monkeypatch, factor_q)
+    _charpoly_drift.cache_clear()
+    cold = CliRunner().invoke(main, ["graph", str(path)])
+    warm = CliRunner().invoke(main, ["graph", str(path)])
+    assert cold.exit_code == warm.exit_code == 2
+    assert cold.stdout_bytes == warm.stdout_bytes
+    charpolys = [args[0] for args in factored]
+    assert charpolys and len(charpolys) == len(set(charpolys))
 
 
 def test_graph_certificate_matches_standalone_checks():

@@ -5,18 +5,53 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcert import (
     PlaceSet,
+    Poly,
     SqMatrix,
     classify,
+    cyclotomic,
     direction_profile,
     discover_places,
     drift_profile,
 )
 from flatcert.errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
+from flatcert.places import _quasi_unipotent_order
 
-from conftest import det1_corpus, unimodular
+from conftest import det1_corpus, quasi_unipotent_order_factor, unimodular
+
+# integer polynomials with no cyclotomic factor: x^2-3x+1 (golden ratio
+# squared), x^2+3x+1, x^3-x-1 (plastic number), x^4-x^3-x^2-x+1 (Salem)
+NON_CYCLOTOMIC = (Poly([1, -3, 1]), Poly([1, 3, 1]), Poly([-1, -1, 0, 1]), Poly([1, -1, -1, -1, 1]))
+
+
+@st.composite
+def _cyclotomic_products(draw, max_degree=16):
+    """A product of cyclotomic polynomials with multiplicities, optionally
+    times one non-cyclotomic factor, of degree at most max_degree."""
+    cp = draw(st.sampled_from((Poly([1]),) + NON_CYCLOTOMIC))
+    for k, e in draw(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 3)), max_size=5)):
+        factor = cyclotomic(k) ** e
+        if cp.degree + factor.degree <= max_degree:
+            cp = cp * factor
+    return cp
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cyclotomic_products())
+def test_quasi_unipotent_order_matches_factorization(cp):
+    n = max(cp.degree, 1)
+    assert _quasi_unipotent_order(cp, n) == quasi_unipotent_order_factor(cp, n)
+
+
+def test_quasi_unipotent_order_examples():
+    assert _quasi_unipotent_order(cyclotomic(4) * cyclotomic(6), 4) == 12
+    assert _quasi_unipotent_order(cyclotomic(2) ** 3 * cyclotomic(1), 4) == 2
+    assert _quasi_unipotent_order(Poly([-1, 1]) ** 3, 3) == 1
+    assert _quasi_unipotent_order(cyclotomic(3) * Poly([1, -3, 1]), 4) is None
 
 
 def test_discover_places_examples():

@@ -169,6 +169,53 @@ def test_usage_errors_exit_one():
     assert res.exit_code == 1
 
 
+GOOD = [["2", "0"], ["0", "1/2"]]
+
+# each of these escaped as a raw traceback (named on the right) before the
+# parse layer turned it into a ParseError
+MALFORMED = {
+    "entry_zero_denominator": (  # ZeroDivisionError
+        ["places"], {"generators": {"a": [["1/0", "0"], ["0", "1"]]}}
+    ),
+    "entry_not_a_number": (  # ValueError
+        ["places"], {"generators": {"a": [["abc", "0"], ["0", "1"]]}}
+    ),
+    "field_not_a_number": (  # ValueError
+        ["places"], {"field": ["x"], "generators": {"a": [["1"]]}}
+    ),
+    "torus_without_b": (["graph"], {"tori": [{"id": "T1", "A": GOOD}]}),  # KeyError
+    "field_not_integral": (  # ValueError
+        ["places"], {"field": ["1/2", "0", "1"], "generators": {"a": [["1"]]}}
+    ),
+    "field_coordinates_too_long": (  # ValueError
+        ["places"], {"field": ["-2", "0", "1"], "generators": {"a": [[["1", "0", "0"]]]}}
+    ),
+    "row_not_an_array": (["places"], {"generators": {"a": [1, 2]}}),  # TypeError
+    # no traceback, but each row string was read as one entry per character
+    "row_is_a_string": (["places"], {"generators": {"a": ["10", "01"]}}),
+    "gluing_without_u": (  # KeyError
+        ["graph"],
+        {
+            "tori": [{"id": "T1", "A": GOOD, "B": GOOD}],
+            "gluings": [{"torus": "T1", "secondBasisWords": ["a", "b"]}],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_with_parse_error(case):
+    command, doc = MALFORMED[case]
+    if command == ["graph"]:
+        res = _run(["graph", "doc.json"], files={"doc.json": json.dumps(doc)})
+    else:
+        res = _run(["-i", "doc.json", *command], files={"doc.json": json.dumps(doc)})
+    assert res.exit_code == 1
+    error = json.loads(res.output)["error"]
+    assert (error["type"], error["module"]) == ("ParseError", "cli")
+    assert error["message"].startswith("parse error at position 0: expected ")
+
+
 def test_tolerance_and_pd_epsilon_flags():
     res = _run(["-i", "session.json", "--tolerance", "1e-10", "--pd-epsilon", "1e-6", "flat", "a", "b"])
     assert res.exit_code == 0
