@@ -35,25 +35,6 @@ from .report import (
 from .session import fraction_str, parse_graph, parse_session
 from .words import parse_word, word_eval
 
-_ERROR_MODULE = {
-    errors.NotMonic: "exact",
-    errors.NotIrreducible: "exact",
-    errors.DivideByZero: "exact",
-    errors.FieldMismatch: "exact",
-    errors.ToleranceNotReached: "exact",
-    errors.ZeroConstantTerm: "exact",
-    errors.DeterminantNotOne: "linalg",
-    errors.DimensionMismatch: "linalg",
-    errors.UnknownGenerator: "linalg",
-    errors.NotCommuting: "flats",
-    errors.NumericalInconclusive: "flats",
-    errors.NotBallistic: "places",
-    errors.PlaceSetIncomplete: "places",
-    errors.ParseError: "cli",
-    InvalidGraphRep: "manifold",
-}
-
-
 class Options:
     def __init__(self, input_path, tolerance, pd_epsilon, as_json):
         self.input_path = input_path
@@ -69,24 +50,22 @@ class Options:
 
     def emit(self, report: dict, code: int = 0):
         text = render_json(report) if self.as_json else render_text(report)
-        click.echo(text)
+        # an explicit stream: click's default one is cached per sys.stdout
+        # object and never freed, so a caller that swaps sys.stdout for each
+        # in-process call would keep every report alive
+        click.echo(text, file=sys.stdout)
         sys.exit(code)
 
-    def fail(self, exc: Exception):
-        module = "internal"
-        for klass, mod in _ERROR_MODULE.items():
-            if isinstance(exc, klass):
-                module = mod
-                break
+    def fail(self, exc: errors.FlatcertError):
         report = {
             "error": {
                 "type": type(exc).__name__,
-                "module": module,
+                "module": exc.module,
                 "message": str(exc),
             }
         }
         text = render_json(report) if self.as_json else render_text(report)
-        click.echo(text, err=True)
+        click.echo(text, file=sys.stderr)
         sys.exit(1)
 
 

@@ -3,19 +3,24 @@
 Errors carry enough structure (witness pair, parse position, offending
 factor, ...) for the CLI to render them with provenance; nothing here is
 ever raised for a condition that a certificate could express instead.
+Each class names, in ``module``, the layer the CLI reports it under.
 """
 
 
 class FlatcertError(Exception):
     """Base class for all errors raised by this package."""
 
+    module = "internal"
+
 
 class NotMonic(FlatcertError):
-    pass
+    module = "exact"
 
 
 class NotIrreducible(FlatcertError):
     """Raised when a would-be minimal polynomial factors over Q."""
+
+    module = "exact"
 
     def __init__(self, poly, factor):
         self.poly = poly
@@ -24,14 +29,16 @@ class NotIrreducible(FlatcertError):
 
 
 class DivideByZero(FlatcertError):
-    pass
+    module = "exact"
 
 
 class FieldMismatch(FlatcertError):
-    pass
+    module = "exact"
 
 
 class ToleranceNotReached(FlatcertError):
+    module = "exact"
+
     def __init__(self, iterations, worst_bound):
         self.iterations = iterations
         self.worst_bound = worst_bound
@@ -44,8 +51,12 @@ class ToleranceNotReached(FlatcertError):
 class ZeroConstantTerm(FlatcertError):
     """Valuation of 0 is undefined; cannot occur for det-1 characteristic polynomials."""
 
+    module = "exact"
+
 
 class DeterminantNotOne(FlatcertError):
+    module = "linalg"
+
     def __init__(self, name=None, det=None):
         self.name = name
         self.det = det
@@ -54,16 +65,20 @@ class DeterminantNotOne(FlatcertError):
 
 
 class UnknownGenerator(FlatcertError):
+    module = "linalg"
+
     def __init__(self, name):
         self.name = name
         super().__init__(f"unknown generator {name!r}")
 
 
 class DimensionMismatch(FlatcertError):
-    pass
+    module = "linalg"
 
 
 class ParseError(FlatcertError):
+    module = "cli"
+
     def __init__(self, position, expected, found=None, line=None, column=None):
         self.position = position
         self.expected = expected
@@ -75,6 +90,8 @@ class ParseError(FlatcertError):
 
 
 class NotCommuting(FlatcertError):
+    module = "flats"
+
     def __init__(self, i, j, commutator=None):
         self.i = i
         self.j = j
@@ -83,10 +100,12 @@ class NotCommuting(FlatcertError):
 
 
 class NotBallistic(FlatcertError):
-    pass
+    module = "places"
 
 
 class PlaceSetIncomplete(FlatcertError):
+    module = "places"
+
     def __init__(self, missing_primes):
         self.missing_primes = tuple(missing_primes)
         super().__init__(
@@ -97,3 +116,6 @@ class PlaceSetIncomplete(FlatcertError):
 
 class NumericalInconclusive(FlatcertError):
     """Floating-point evidence and exact arithmetic disagree; no certificate is emitted."""
+
+    module = "flats"
+

@@ -1,17 +1,26 @@
 """Exact square-matrix algebra over Q and Q(alpha).
 
-Characteristic polynomials are computed by division-free Berkowitz on the
-cleared-denominator integer matrix (the test suite cross-checks against
-Faddeev-LeVerrier and determinant interpolation), kernels by
-fraction-free Bareiss elimination, and commuting families are split into
-blocks on which every generator's characteristic polynomial is a power of
-a single Q-irreducible.
+A rational matrix is stored as integer rows ``num`` over one common
+denominator ``den`` > 0, normalized so that gcd(den, every entry) = 1.  The
+form is canonical, so equality and hashing compare integers, and products,
+powers, inverses and determinants run on integers with one gcd
+normalization per result.  Inverses and determinants use fraction-free
+Bareiss elimination (Bareiss, Math. Comp. 1968); characteristic
+polynomials use division-free Berkowitz on ``num`` (the test suite
+cross-checks against Faddeev-LeVerrier and determinant interpolation) and
+are kept on the matrix after the first call; kernels come from Bareiss
+forward elimination.  Matrices over Q(alpha) keep FieldElement rows and
+plain elimination; they exist only between parsing and embed_regular.
+Commuting families are split into blocks on which every generator's
+characteristic polynomial is a power of a single Q-irreducible.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,11 +56,21 @@ def _as_scalar(x, field: NumberField | None):
     return field.from_rational(Fraction(x))
 
 
-class SqMatrix:
-    """Immutable square matrix; entries are Fractions (field=None) or
-    FieldElements of a common number field."""
+@functools.cache
+def _identity_num(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    __slots__ = ("n", "rows", "field")
+
+class SqMatrix:
+    """Immutable square matrix.
+
+    Over Q (field None) the entries are num[i][j] / den: integer rows over
+    one denominator den > 0 with gcd(den, every entry) = 1.  Over a number
+    field they are FieldElements.  ``rows`` is the entry view in either
+    case (Fractions over Q).
+    """
+
+    __slots__ = ("n", "field", "num", "den", "_field_rows", "_charpoly")
 
     def __init__(self, rows, field: NumberField | None = None):
         rows = [list(r) for r in rows]
@@ -59,18 +78,24 @@ class SqMatrix:
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix is not square")
         if field is None:
-            for r in rows:
-                for x in r:
-                    if isinstance(x, FieldElement):
-                        field = x.field
-                        break
-                if field is not None:
-                    break
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "rows", tuple(tuple(_as_scalar(x, field) for x in r) for r in rows)
-        )
+            field = next(
+                (x.field for r in rows for x in r if isinstance(x, FieldElement)), None
+            )
+        if field is None:
+            entries = [[_as_scalar(x, None) for x in r] for r in rows]
+            den = math.lcm(1, *(x.denominator for r in entries for x in r))
+            num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in entries)
+            # den is the lcm of reduced denominators, so (num, den) is normalized
+            self._set(n, None, num, den, None)
+        else:
+            self._set(
+                n, field, None, None, tuple(tuple(_as_scalar(x, field) for x in r) for r in rows)
+            )
+
+    def _set(self, n, field, num, den, field_rows):
+        """Fill every slot once; the charpoly slot starts empty."""
+        for name, value in zip(self.__slots__, (n, field, num, den, field_rows, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SqMatrix is immutable")
@@ -78,8 +103,22 @@ class SqMatrix:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _over(cls, num: tuple[tuple[int, ...], ...], den: int = 1) -> "SqMatrix":
+        """The rational matrix num / den from integer row tuples, den > 0."""
+        if den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in r) for r in num)
+                den //= g
+        m = object.__new__(cls)
+        m._set(len(num), None, num, den, None)
+        return m
+
+    @classmethod
     def identity(cls, n: int, field: NumberField | None = None) -> "SqMatrix":
-        one, zero = (Fraction(1), Fraction(0)) if field is None else (field.one, field.zero)
+        if field is None:
+            return cls._over(_identity_num(n))
+        one, zero = field.one, field.zero
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], field)
 
     @classmethod
@@ -91,61 +130,63 @@ class SqMatrix:
             [[entries[i] if i == j else zero for j in range(n)] for i in range(n)], field
         )
 
-    def _zero(self):
-        return Fraction(0) if self.field is None else self.field.zero
-
-    def _one(self):
-        return Fraction(1) if self.field is None else self.field.one
-
     # -- basics ---------------------------------------------------------
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The entries row by row: Fractions over Q, FieldElements over
+        Q(alpha)."""
+        if self.field is not None:
+            return self._field_rows
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in r) for r in self.num)
 
     def __eq__(self, other):
         return (
             isinstance(other, SqMatrix)
-            and self.n == other.n
+            and self.num == other.num
+            and self.den == other.den
             and self.field == other.field
-            and self.rows == other.rows
+            and self._field_rows == other._field_rows
         )
 
     def __hash__(self):
-        return hash((self.n, self.field, self.rows))
+        return hash((self.num, self.den, self.field, self._field_rows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if self.field is not None:
+            return self._field_rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def is_identity(self) -> bool:
-        one, zero = self._one(), self._zero()
-        return all(
-            self.rows[i][j] == (one if i == j else zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        if self.field is None:
+            return self.den == 1 and self.num == _identity_num(self.n)
+        return self == SqMatrix.identity(self.n, self.field)
 
     def trace(self):
-        t = self._zero()
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
+        if self.field is None:
+            return Fraction(sum(r[i] for i, r in enumerate(self.num)), self.den)
+        return sum((r[i] for i, r in enumerate(self._field_rows)), self.field.zero)
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
-        self._check_compat(other)
-        return SqMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-            self.field,
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "SqMatrix", op) -> "SqMatrix":
         self._check_compat(other)
-        return SqMatrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-            self.field,
+        if self.field is not None:
+            return SqMatrix(
+                [[op(x, y) for x, y in zip(r, q)] for r, q in zip(self._field_rows, other._field_rows)],
+                self.field,
+            )
+        d = math.lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return SqMatrix._over(
+            tuple(tuple(op(x * s, y * t) for x, y in zip(r, q)) for r, q in zip(self.num, other.num)),
+            d,
         )
 
     def _check_compat(self, other: "SqMatrix"):
@@ -158,27 +199,30 @@ class SqMatrix:
 
     def scale(self, c) -> "SqMatrix":
         c = _as_scalar(c, self.field)
-        return SqMatrix(
-            [[c * self.rows[i][j] for j in range(self.n)] for i in range(self.n)],
-            self.field,
+        if self.field is not None:
+            return SqMatrix([[c * x for x in r] for r in self._field_rows], self.field)
+        return SqMatrix._over(
+            tuple(tuple(c.numerator * x for x in r) for r in self.num), self.den * c.denominator
         )
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         self._check_compat(other)
-        n = self.n
-        zero = self._zero()
-        bt = list(zip(*other.rows))
+        if self.field is None:
+            cols = tuple(zip(*other.num))
+            return SqMatrix._over(
+                tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.num),
+                self.den * other.den,
+            )
+        zero = self.field.zero
+        cols = list(zip(*other._field_rows))
         out = []
-        for i in range(n):
-            row_i = self.rows[i]
+        for row in self._field_rows:
             out_row = []
-            for j in range(n):
-                col_j = bt[j]
+            for col in cols:
                 acc = zero
-                for k in range(n):
-                    a = row_i[k]
+                for a, b in zip(row, col):
                     if a != 0:
-                        acc = acc + a * col_j[k]
+                        acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
         return SqMatrix(out, self.field)
@@ -186,14 +230,15 @@ class SqMatrix:
     def __pow__(self, k: int) -> "SqMatrix":
         if k < 0:
             return self.inverse() ** (-k)
-        result = SqMatrix.identity(self.n, self.field)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return SqMatrix.identity(self.n, self.field) if result is None else result
 
     def commutes_with(self, other: "SqMatrix") -> bool:
         return self * other == other * self
@@ -204,74 +249,64 @@ class SqMatrix:
     # -- elimination-based kernels: det, inverse, solve -------------------
 
     def det(self):
-        """Exact determinant (Bareiss over Q, ordinary elimination over Q(alpha))."""
+        """Exact determinant (Bareiss on num over Q, ordinary elimination
+        over Q(alpha))."""
         if self.field is None:
-            return _det_bareiss(self.rows)
+            return Fraction(_det_bareiss(self.num), self.den**self.n)
         return _det_elimination(self)
 
     def inverse(self) -> "SqMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse.
+
+        Over Q: fraction-free Gauss-Jordan (Bareiss) on [num | I].  Every
+        intermediate entry is a minor of [num | I], so each division is
+        exact; at the end each row reads [d e_i | d num^-1 row i] with d the
+        determinant of the row-swapped num, and m^-1 = den num^-1.
+        """
+        if self.field is not None:
+            return _inverse_elimination(self)
         n = self.n
-        zero, one = self._zero(), self._one()
-        a = [list(row) for row in self.rows]
-        inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if a[r][col] != 0:
-                    piv = r
-                    break
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num)]
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            pinv = (one / p) if self.field is not None else Fraction(1) / p
-            a[col] = [x * pinv for x in a[col]]
-            inv[col] = [x * pinv for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return SqMatrix(inv, self.field)
+            a[k], a[piv] = a[piv], a[k]
+            row_k = a[k]
+            pk = row_k[k]
+            for i in range(n):
+                if i != k:
+                    f = a[i][k]
+                    a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], row_k)]
+            prev = pk
+        scale = self.den if prev > 0 else -self.den
+        return SqMatrix._over(tuple(tuple(scale * x for x in r[n:]) for r in a), abs(prev))
 
     def conjugate_by(self, c: "SqMatrix") -> "SqMatrix":
         """c * self * c^-1."""
         return c * self * c.inverse()
 
     def submatrix(self, idx: list[int]) -> "SqMatrix":
-        return SqMatrix(
-            [[self.rows[i][j] for j in idx] for i in idx], self.field
-        )
+        if self.field is None:
+            return SqMatrix._over(
+                tuple(tuple(self.num[i][j] for j in idx) for i in idx), self.den
+            )
+        return SqMatrix([[self._field_rows[i][j] for j in idx] for i in idx], self.field)
 
     def denominator_lcm(self) -> int:
         """lcm of entry denominators (power-basis coordinates for Q(alpha))."""
-        from math import lcm
-
-        result = 1
-        for row in self.rows:
-            for x in row:
-                if isinstance(x, FieldElement):
-                    for c in x.coords:
-                        result = lcm(result, c.denominator)
-                else:
-                    result = lcm(result, x.denominator)
-        return result
+        if self.field is None:
+            return self.den
+        return math.lcm(1, *(c.denominator for r in self._field_rows for x in r for c in x.coords))
 
 
-def _det_bareiss(rows) -> Fraction:
-    """Fraction-free Bareiss determinant after clearing denominators."""
-    from math import lcm
-
-    n = len(rows)
+def _det_bareiss(num) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix."""
+    n = len(num)
     if n == 0:
-        return Fraction(1)
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    a = [[int(x * denom) for x in row] for row in rows]
+        return 1
+    a = [list(r) for r in num]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -282,20 +317,20 @@ def _det_bareiss(rows) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], denom**n)
+    return sign * a[n - 1][n - 1]
 
 
 def _det_elimination(m: SqMatrix):
     """Plain Gaussian elimination determinant over a number field."""
     n = m.n
     a = [list(row) for row in m.rows]
-    det = m._one()
+    det = m.field.one
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -303,18 +338,45 @@ def _det_elimination(m: SqMatrix):
                 piv = r
                 break
         if piv is None:
-            return m._zero()
+            return m.field.zero
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             det = -det
         p = a[col][col]
         det = det * p
-        pinv = m._one() / p
+        pinv = m.field.one / p
         for r in range(col + 1, n):
             if a[r][col] != 0:
                 f = a[r][col] * pinv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def _inverse_elimination(m: SqMatrix) -> SqMatrix:
+    """Gauss-Jordan inverse over a number field."""
+    n = m.n
+    zero, one = m.field.zero, m.field.one
+    a = [list(row) for row in m.rows]
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if a[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        pinv = one / a[col][col]
+        a[col] = [x * pinv for x in a[col]]
+        inv[col] = [x * pinv for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return SqMatrix(inv, m.field)
 
 
 # -- characteristic polynomial -------------------------------------------
@@ -323,20 +385,23 @@ def _det_elimination(m: SqMatrix):
 def charpoly(m: SqMatrix) -> Poly:
     """Monic characteristic polynomial det(xI - m), exact, over Q.
 
-    Division-free Berkowitz on the integer matrix A = D m, D the lcm of the
-    entry denominators; since det(xI - A) = D^n det((x/D) I - m), the
-    coefficient of x^k is rescaled as c_k(m) = c_k(A) / D^(n-k).
+    Division-free Berkowitz on the integer rows A = den m; since
+    det(xI - A) = den^n det((x/den) I - m), the coefficient of x^k is
+    rescaled as c_k(m) = c_k(A) / den^(n-k).  The result is kept on m (which
+    is immutable), so every analysis of the same matrix shares one
+    computation.
     """
     if m.field is not None:
         raise DimensionMismatch("charpoly is defined over Q; embed_regular first")
-    n = m.n
-    d = m.denominator_lcm()
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.rows]
-    p = _berkowitz(a)
-    return Poly([Fraction(p[n - k], d ** (n - k)) for k in range(n + 1)])
+    if m._charpoly is None:
+        n, d = m.n, m.den
+        p = _berkowitz(m.num)
+        cp = Poly([Fraction(p[n - k], d ** (n - k)) for k in range(n + 1)])
+        object.__setattr__(m, "_charpoly", cp)
+    return m._charpoly
 
 
-def _berkowitz(a: list[list[int]]) -> list[int]:
+def _berkowitz(a) -> list[int]:
     """Coefficients of det(xI - a), highest degree first, with ring
     operations only.
 
@@ -376,7 +441,7 @@ def embed_regular(m: SqMatrix) -> SqMatrix:
     big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
     for i in range(n):
         for j in range(n):
-            block = m.rows[i][j].regular_matrix()
+            block = m._field_rows[i][j].regular_matrix()
             for bi in range(d):
                 for bj in range(d):
                     big[i * d + bi][j * d + bj] = block[bi][bj]
@@ -389,20 +454,15 @@ def embed_regular(m: SqMatrix) -> SqMatrix:
 def kernel_basis(m: SqMatrix) -> list[list[Fraction]]:
     """Exact null-space basis of a rational matrix.
 
-    Fraction-free Bareiss forward elimination on the cleared-denominator
-    integer matrix, then rational back-substitution; one basis vector per
-    free column, deterministic order.
+    Fraction-free Bareiss forward elimination on the integer rows num (the
+    denominator does not change the kernel), then rational
+    back-substitution; one basis vector per free column, deterministic
+    order.
     """
     if m.field is not None:
         raise DimensionMismatch("kernel_basis is defined over Q")
-    from math import lcm
-
     n = m.n
-    denom = 1
-    for row in m.rows:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    a = [[int(x * denom) for x in row] for row in m.rows]
+    a = [list(r) for r in m.num]
 
     pivots: list[tuple[int, int]] = []  # (row, col)
     prev = 1
@@ -467,11 +527,7 @@ def is_diagonalizable(m: SqMatrix) -> bool:
     from .exact.poly import squarefree_part
 
     p = squarefree_part(charpoly(m))
-    return _is_zero(poly_at_matrix(p, m))
-
-
-def _is_zero(m: SqMatrix) -> bool:
-    return all(x == 0 for row in m.rows for x in row)
+    return not any(map(any, poly_at_matrix(p, m).num))
 
 
 @functools.cache
@@ -521,15 +577,16 @@ class BlockDecomposition:
     def reassemble(self, k: int) -> SqMatrix:
         """C * diag(blocks of generator k) * C^-1."""
         n = self.conjugator.n
-        big = [[Fraction(0)] * n for _ in range(n)]
+        den = math.lcm(1, *(mats[k].den for _, mats in self.blocks))
+        big = [[0] * n for _ in range(n)]
         off = 0
         for size, mats in self.blocks:
             b = mats[k]
-            for i in range(size):
-                for j in range(size):
-                    big[off + i][off + j] = b.rows[i][j]
+            s = den // b.den
+            for i, row in enumerate(b.num):
+                big[off + i][off : off + size] = [s * x for x in row]
             off += size
-        return SqMatrix(big).conjugate_by(self.conjugator)
+        return SqMatrix._over(tuple(map(tuple, big)), den).conjugate_by(self.conjugator)
 
 
 def _find_split(gens: list[SqMatrix]) -> tuple[SqMatrix, list[tuple[Poly, int]]] | None:
@@ -576,7 +633,7 @@ def _split_recursive(gens: list[SqMatrix]) -> list[tuple[list[list[Fraction]], l
             # off-block entries must vanish identically
             for i in idx:
                 for j in range(n):
-                    if j not in idx and t.rows[i][j] != 0:
+                    if j not in idx and t.num[i][j] != 0:
                         raise AssertionError("generator does not preserve a primary component")
             sub_gens.append(t.submatrix(idx))
         for sub_cols, sub_g in _split_recursive(sub_gens):
@@ -669,5 +726,5 @@ def _assert_block_diagonal(m: SqMatrix, sizes: list[int]):
     for (a0, a1) in spans:
         for i in range(a0, a1):
             for j in range(m.n):
-                if not (a0 <= j < a1) and m.rows[i][j] != 0:
+                if not (a0 <= j < a1) and m.num[i][j] != 0:
                     raise AssertionError("conjugated generator is not block diagonal")

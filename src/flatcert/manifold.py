@@ -46,6 +46,8 @@ ARCH_REL_TOL = 1e-8
 
 
 class InvalidGraphRep(FlatcertError):
+    module = "manifold"
+
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__(

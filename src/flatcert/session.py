@@ -11,7 +11,6 @@ downstream computation sees rational matrices only.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .exact.poly import Poly
 from .linalg import SqMatrix, embed_regular
 from .manifold import GluingSpec, GraphRep, TorusRep
 from .places import PlaceSet, discover_places
+from .words import NAME_RE
 
 __all__ = [
     "SessionSpec",
@@ -30,9 +30,6 @@ __all__ = [
     "parse_matrix",
     "fraction_str",
 ]
-
-NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
 
 def fraction_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -118,7 +115,7 @@ def parse_session(text: str) -> SessionSpec:
     generators: dict[str, SqMatrix] = {}
     dim = None
     for name in sorted(gens_doc):
-        if not NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             raise ParseError(0, "a generator name matching [a-z][a-z0-9_]*", name)
         m = parse_matrix(gens_doc[name], field)
         if dim is None:
@@ -144,6 +141,12 @@ def _require_keys(obj, keys: tuple[str, ...], expected: str) -> None:
         raise ParseError(0, expected, obj)
 
 
+def _string(value, expected: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(0, expected, value)
+    return value
+
+
 def parse_graph(text: str) -> GraphRep:
     """Parse a graph-representation document into embedded rational form."""
     doc = _load_json(text)
@@ -156,33 +159,39 @@ def parse_graph(text: str) -> GraphRep:
     tori = []
     for t in tori_doc:
         _require_keys(t, ("id", "A", "B"), 'a torus object with "id", "A" and "B"')
+        torus_id = _string(t["id"], "a torus id string")
         a = embed_regular(parse_matrix(t["A"], field))
         b = embed_regular(parse_matrix(t["B"], field))
         if a.n != b.n:
-            raise DimensionMismatch(f"torus {t['id']!r} basis image dimensions differ")
-        tori.append(TorusRep(id=str(t["id"]), a=a, b=b))
+            raise DimensionMismatch(f"torus {torus_id!r} basis image dimensions differ")
+        tori.append(TorusRep(id=torus_id, a=a, b=b))
     gluings = []
     gluings_doc = doc.get("gluings", [])
     if not isinstance(gluings_doc, list):
         raise ParseError(0, 'a "gluings" array', gluings_doc)
     for g in gluings_doc:
         _require_keys(g, ("torus", "U"), 'a gluing object with "torus" and "U"')
+        torus_id = _string(g["torus"], "a torus id string")
         u = g["U"]
         if (
             not isinstance(u, list)
             or len(u) != 2
-            or any(len(row) != 2 for row in u)
+            or any(not isinstance(row, list) or len(row) != 2 for row in u)
             or any(not isinstance(x, int) or isinstance(x, bool) for row in u for x in row)
         ):
             raise ParseError(0, "a 2x2 integer gluing matrix U", u)
         words = g.get("secondBasisWords")
-        if not isinstance(words, list) or len(words) != 2:
-            raise ParseError(0, "two second-basis words", words)
+        if (
+            not isinstance(words, list)
+            or len(words) != 2
+            or not all(isinstance(w, str) for w in words)
+        ):
+            raise ParseError(0, "two second-basis word strings", words)
         gluings.append(
             GluingSpec(
-                torus=str(g["torus"]),
+                torus=torus_id,
                 u=((u[0][0], u[0][1]), (u[1][0], u[1][1])),
-                second_basis_words=(str(words[0]), str(words[1])),
+                second_basis_words=tuple(words),
             )
         )
     return GraphRep.build(tori, gluings)

@@ -63,22 +63,100 @@ def random_diag_23(rng: random.Random, n: int, exp_range=(-1, 1)) -> SqMatrix:
     return SqMatrix.diagonal(diag)
 
 
+# -- Fraction-grid oracles, independent of SqMatrix's integer rows ---------
+# Matrices here are lists of Fraction rows: the storage SqMatrix used before
+# it kept integer rows over one denominator.
+
+
+def identity_grid(n: int) -> list[list[F]]:
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mul_grid(a, b) -> list[list[F]]:
+    """Schoolbook product over Fraction, skipping zero left entries."""
+    n = len(a)
+    bt = list(zip(*b))
+    out = []
+    for i in range(n):
+        row_i = a[i]
+        out_row = []
+        for j in range(n):
+            col_j = bt[j]
+            acc = F(0)
+            for k in range(n):
+                if row_i[k] != 0:
+                    acc = acc + row_i[k] * col_j[k]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def inverse_grid(rows) -> list[list[F]]:
+    """Gauss-Jordan inverse over Fraction; ZeroDivisionError if singular."""
+    n = len(rows)
+    a = [[F(x) for x in row] for row in rows]
+    inv = identity_grid(n)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        pinv = F(1) / a[col][col]
+        a[col] = [x * pinv for x in a[col]]
+        inv[col] = [x * pinv for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def det_grid(rows) -> F:
+    """Bareiss determinant after clearing the denominators of a Fraction
+    grid."""
+    n = len(rows)
+    if n == 0:
+        return F(1)
+    denom = math.lcm(1, *(F(x).denominator for row in rows for x in row))
+    a = [[int(F(x) * denom) for x in row] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return F(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return F(sign * a[n - 1][n - 1], denom**n)
+
+
 # -- characteristic polynomial oracles, independent of flatcert.charpoly ----
 
 
 def charpoly_faddeev_leverrier(m: SqMatrix) -> Poly:
-    """det(xI - m) by Faddeev-LeVerrier over Fraction: M_0 = I,
+    """det(xI - m) by Faddeev-LeVerrier over Fraction grids: M_0 = I,
     c_{n-k} = -tr(m M_{k-1}) / k, M_k = m M_{k-1} + c_{n-k} I."""
     n = m.n
+    rows = [list(r) for r in m.rows]
     coeffs = [F(0)] * (n + 1)
     coeffs[n] = F(1)
-    mk = SqMatrix.identity(n)
+    mk = identity_grid(n)
     for k in range(1, n + 1):
-        mmk = m * mk
-        c = -mmk.trace() / k
+        mmk = mul_grid(rows, mk)
+        c = -sum(mmk[i][i] for i in range(n)) / k
         coeffs[n - k] = c
         if k < n:
-            mk = mmk + SqMatrix.identity(n).scale(c)
+            mk = [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(mmk)]
     return Poly(coeffs)
 
 
@@ -87,7 +165,10 @@ def charpoly_interpolation(m: SqMatrix) -> Poly:
     Lagrange interpolation."""
     n = m.n
     xs = list(range(n + 1))
-    ys = [(SqMatrix.identity(n).scale(F(k)) - m).det() for k in xs]
+    ys = [
+        det_grid([[(k if i == j else 0) - x for j, x in enumerate(r)] for i, r in enumerate(m.rows)])
+        for k in xs
+    ]
     result = Poly()
     for i, xi in enumerate(xs):
         term = Poly([1])

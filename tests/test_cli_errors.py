@@ -1,0 +1,311 @@
+"""The structured error report: one pinned error per module, and a fuzz test
+that no malformed session or graph document escapes it."""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flatcert import errors
+from flatcert.cli import Options, main
+from flatcert.manifold import InvalidGraphRep, Violation
+
+
+def _run(args, doc: str):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.json", "w") as fh:
+            fh.write(doc)
+        return runner.invoke(main, args, catch_exceptions=False)
+
+
+def _error_json(type_, module, message):
+    return json.dumps(
+        {"error": {"message": message, "module": module, "type": type_}},
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
+
+
+# -- one pinned error report per module ------------------------------------
+
+SESSION = json.dumps(
+    {"generators": {"a": [["2", "0"], ["0", "1/2"]], "u": [["1", "1"], ["0", "1"]]}}
+)
+
+PINNED = {
+    "exact": (
+        ["places"],
+        json.dumps({"field": ["-1", "0", "1"], "generators": {"g": [["1"]]}}),
+        _error_json(
+            "NotIrreducible",
+            "exact",
+            "polynomial Poly(-1 + x^2) is reducible; factor: Poly(-1 + x)",
+        ),
+    ),
+    "linalg": (
+        ["places"],
+        json.dumps({"generators": {"g": [["2", "0"], ["0", "1"]]}}),
+        _error_json("DeterminantNotOne", "linalg", "generator 'g' has determinant 2, expected 1"),
+    ),
+    "flats": (
+        ["flat", "a", "u"],
+        SESSION,
+        _error_json("NotCommuting", "flats", "generators 'a' and 'u' do not commute"),
+    ),
+    "places": (
+        ["classify", "--direction", "u"],
+        SESSION,
+        _error_json(
+            "NotBallistic",
+            "places",
+            "element classifies Unipotent; direction is defined for ballistic elements",
+        ),
+    ),
+    "cli": (
+        ["classify", "a**u"],
+        SESSION,
+        _error_json(
+            "ParseError",
+            "cli",
+            "parse error at position 2: expected a generator name or '(', found '*'",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PINNED))
+def test_error_report_bytes_per_module(module):
+    command, doc, expected = PINNED[module]
+    res = _run(["-i", "doc.json", *command], doc)
+    assert res.exit_code == 1
+    assert res.stderr == expected
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (
+            InvalidGraphRep([Violation("T1", "UnknownTorus")]),
+            _error_json(
+                "InvalidGraphRep",
+                "manifold",
+                "graph representation failed validation: UnknownTorus on torus 'T1'",
+            ),
+        ),
+        (errors.FlatcertError("boom"), _error_json("FlatcertError", "internal", "boom")),
+    ],
+)
+def test_error_report_bytes_outside_the_commands(exc, expected):
+    # the graph command reports InvalidGraphRep as an Invalid tag, so the
+    # manifold and internal modules are pinned through Options.fail itself
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        Options(None, 1e-12, 1e-8, True).fail(exc)
+    assert stop.value.code == 1
+    assert err.getvalue() == expected
+
+
+ERROR_MODULES = {
+    "NotMonic": "exact",
+    "NotIrreducible": "exact",
+    "DivideByZero": "exact",
+    "FieldMismatch": "exact",
+    "ToleranceNotReached": "exact",
+    "ZeroConstantTerm": "exact",
+    "DeterminantNotOne": "linalg",
+    "DimensionMismatch": "linalg",
+    "UnknownGenerator": "linalg",
+    "NotCommuting": "flats",
+    "NumericalInconclusive": "flats",
+    "NotBallistic": "places",
+    "PlaceSetIncomplete": "places",
+    "ParseError": "cli",
+    "InvalidGraphRep": "manifold",
+}
+
+
+def test_every_error_class_names_its_module():
+    classes = {cls.__name__: cls.module for cls in errors.FlatcertError.__subclasses__()}
+    assert classes == ERROR_MODULES
+    assert errors.FlatcertError.module == "internal"
+
+
+# -- fuzz: malformed documents exit 1 with the structured error ------------
+
+M = [["2", "0"], ["0", "1/2"]]
+SESSION_Q = {"generators": {"a": M, "b": [["3", "0"], ["0", "1/3"]]}}
+SESSION_FIELD = {
+    "field": ["-2", "0", "1"],
+    "generators": {"g": [[["0", "1"], "0"], ["0", ["0", "1/2"]]]},
+}
+GRAPH = {
+    "tori": [{"id": "T1", "A": M, "B": [["3", "0"], ["0", "1/3"]]}],
+    "gluings": [{"torus": "T1", "U": [[0, 1], [1, 0]], "secondBasisWords": ["b", "a"]}],
+}
+
+NOT_OBJECT = st.sampled_from([[], [1], "x", 0, 1.5, True, None])
+NOT_ARRAY = st.sampled_from([{}, {"a": 1}, "x", "ab", 0, 2, 1.5, True, None])
+NOT_STRING = st.sampled_from([[], ["a"], {}, 0, 1, 1.5, True, None])
+NOT_NAME = st.sampled_from(["", "A", "Bad", "1a", "_a", "a-b", "a b", "a\n"])
+
+
+def _not_rational(s: str) -> bool:
+    try:
+        Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+BAD_TEXT = st.one_of(
+    st.sampled_from(["", " ", "abc", "1/0", "0/0", "1//2", "1/", "/2", "--1", "nan", "inf"]),
+    st.text(max_size=6).filter(_not_rational),
+)
+# not a scalar in any session: coordinate arrays are checked separately
+BAD_SCALAR = st.one_of(BAD_TEXT, st.sampled_from([1.5, -0.0, True, False, None, {}, {"p": 1}]))
+
+
+def _matrices(doc):
+    """(container, key) of every matrix in a session or graph document."""
+    if "generators" in doc:
+        return [(doc["generators"], name) for name in sorted(doc["generators"])]
+    return [(t, k) for t in doc["tori"] for k in ("A", "B")]
+
+
+@st.composite
+def _malformed_matrix(draw, doc):
+    """Break one matrix of doc in place: its type, a row's type, an entry,
+    its squareness or the length of one row."""
+    box, key = draw(st.sampled_from(_matrices(doc)))
+    rows = box[key]
+    n = len(rows)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["matrix", "empty", "row", "entry", "coords", "wide", "tall", "ragged"]))
+    if kind == "matrix":
+        box[key] = draw(NOT_ARRAY)
+    elif kind == "empty":
+        box[key] = draw(st.sampled_from([[], [[]], [[], []]]))
+    elif kind == "row":
+        rows[i] = draw(NOT_ARRAY)
+    elif kind == "entry":
+        rows[i][j] = draw(BAD_SCALAR)
+    elif kind == "coords":
+        # no field: any array is bad; Q(sqrt2): too many or bad coordinates
+        bad = draw(BAD_SCALAR)
+        rows[i][j] = draw(st.sampled_from([[bad], ["1", bad], ["1", "0", "0"], [["1"]]]))
+    elif kind == "wide":
+        for r in rows:
+            r.append("0")
+    elif kind == "tall":
+        rows.append(["0"] * n)
+    else:
+        if draw(st.booleans()):
+            rows[i].append("0")
+        else:
+            rows[i].pop()
+
+
+@st.composite
+def malformed_sessions(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([SESSION_Q, SESSION_FIELD])))
+    kind = draw(st.sampled_from(["top", "generators", "name", "field", "coefficient", "matrix"]))
+    if kind == "top":
+        return draw(NOT_OBJECT)
+    if kind == "generators":
+        if draw(st.booleans()):
+            del doc["generators"]
+        else:
+            doc["generators"] = draw(st.one_of(NOT_OBJECT, st.just({})))
+    elif kind == "name":
+        name = draw(st.sampled_from(sorted(doc["generators"])))
+        doc["generators"][draw(NOT_NAME)] = doc["generators"].pop(name)
+    elif kind == "field":
+        doc["field"] = draw(st.one_of(NOT_ARRAY.filter(lambda v: v is not None), st.just([])))
+    elif kind == "coefficient":
+        coeffs = doc.setdefault("field", ["-2", "0", "1"])
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(
+            st.one_of(BAD_SCALAR, st.sampled_from([["1"], []]))
+        )
+    else:
+        draw(_malformed_matrix(doc))
+    return doc
+
+
+@st.composite
+def malformed_graphs(draw):
+    doc = copy.deepcopy(GRAPH)
+    torus, gluing = doc["tori"][0], doc["gluings"][0]
+    kind = draw(
+        st.sampled_from(
+            ["top", "tori", "torus", "torus_key", "id", "gluings", "gluing", "gluing_key",
+             "torus_ref", "u", "u_row", "u_entry", "words", "word", "matrix"]
+        )
+    )
+    if kind == "top":
+        return draw(NOT_OBJECT)
+    if kind == "tori":
+        if draw(st.booleans()):
+            del doc["tori"]
+        else:
+            doc["tori"] = draw(st.one_of(NOT_ARRAY.filter(lambda v: v is not None), st.just([])))
+    elif kind == "torus":
+        doc["tori"][0] = draw(NOT_OBJECT)
+    elif kind == "torus_key":
+        del torus[draw(st.sampled_from(["id", "A", "B"]))]
+    elif kind == "id":
+        torus["id"] = draw(NOT_STRING)
+    elif kind == "gluings":
+        doc["gluings"] = draw(NOT_ARRAY)
+    elif kind == "gluing":
+        doc["gluings"][0] = draw(NOT_OBJECT)
+    elif kind == "gluing_key":
+        del gluing[draw(st.sampled_from(["torus", "U", "secondBasisWords"]))]
+    elif kind == "torus_ref":
+        gluing["torus"] = draw(NOT_STRING)
+    elif kind == "u":
+        gluing["U"] = draw(st.one_of(NOT_ARRAY, st.sampled_from([[], [[0, 1]], [[0, 1], [1, 0], [0, 0]]])))
+    elif kind == "u_row":
+        gluing["U"][draw(st.integers(0, 1))] = draw(
+            st.one_of(NOT_ARRAY, st.sampled_from([[], [1], [1, 0, 0]]))
+        )
+    elif kind == "u_entry":
+        gluing["U"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(
+            st.one_of(BAD_SCALAR, st.sampled_from(["1", "0", [1], 1.0]))
+        )
+    elif kind == "words":
+        gluing["secondBasisWords"] = draw(
+            st.one_of(NOT_ARRAY, st.sampled_from([[], ["a"], ["b", "a", "a"]]))
+        )
+    elif kind == "word":
+        gluing["secondBasisWords"][draw(st.integers(0, 1))] = draw(NOT_STRING)
+    else:
+        draw(_malformed_matrix(doc))
+    return doc
+
+
+def _assert_structured_error(res):
+    assert res.exit_code == 1, res.output
+    assert "Traceback" not in res.output
+    report = json.loads(res.stderr)
+    assert list(report) == ["error"]
+    assert sorted(report["error"]) == ["message", "module", "type"]
+    assert res.stdout == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_sessions())
+def test_malformed_session_exits_with_structured_error(doc):
+    _assert_structured_error(_run(["-i", "doc.json", "places"], json.dumps(doc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_graphs())
+def test_malformed_graph_exits_with_structured_error(doc):
+    _assert_structured_error(_run(["graph", "doc.json"], json.dumps(doc)))

@@ -1,6 +1,7 @@
 """Exact matrix algebra: charpoly against two oracles, embedding, kernels,
 predicates, word evaluation."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,16 @@ from flatcert import (
 from flatcert.errors import DeterminantNotOne, UnknownGenerator
 from flatcert.exact.roots import complex_roots, expand_roots
 
-from conftest import charpoly_faddeev_leverrier, charpoly_interpolation, det1_corpus, unimodular
+from conftest import (
+    charpoly_faddeev_leverrier,
+    charpoly_interpolation,
+    det1_corpus,
+    det_grid,
+    identity_grid,
+    inverse_grid,
+    mul_grid,
+    unimodular,
+)
 
 
 def test_charpoly_examples():
@@ -54,6 +64,85 @@ def test_charpoly_matches_both_oracles(m):
     cp = charpoly(m)
     assert cp == charpoly_faddeev_leverrier(m)
     assert cp == charpoly_interpolation(m)
+
+
+def _assert_canonical(m: SqMatrix):
+    """Integer row tuples over one positive denominator, gcd 1 overall."""
+    assert isinstance(m.num, tuple) and all(isinstance(r, tuple) for r in m.num)
+    assert all(type(x) is int for r in m.num for x in r)
+    assert type(m.den) is int and m.den > 0
+    assert math.gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert m == SqMatrix(m.rows) and hash(m) == hash(SqMatrix(m.rows))
+
+
+def _grid_power(rows, k: int):
+    base = inverse_grid(rows) if k < 0 else rows
+    out = identity_grid(len(rows))
+    for _ in range(abs(k)):
+        out = mul_grid(out, base)
+    return out
+
+
+def _grid(rows):
+    return tuple(tuple(F(x) for x in r) for r in rows)
+
+
+@st.composite
+def _grid_cases(draw):
+    """Two Fraction grids with mixed denominators, n in 0..6; the first may
+    be the identity, singular or a scalar 1/c (whose integer rows are those
+    of the identity), and the second may equal the first."""
+    n = draw(st.integers(0, 6))
+    a = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    b = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "identity", "scalar", "singular", "equal"]))
+    if shape == "identity":
+        a = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    elif shape == "scalar":
+        c = draw(st.integers(2, 5))
+        a = [[F(int(i == j), c) for j in range(n)] for i in range(n)]
+        b = identity_grid(n)
+    elif shape == "singular" and n:
+        a[-1] = [sum(col[:-1], F(0)) for col in zip(*a)]
+    elif shape == "equal":
+        # same entries, given as ints where integral
+        b = [[int(x) if x.denominator == 1 else x for x in r] for r in a]
+    return a, b, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_grid_cases())
+def test_integer_rows_match_fraction_grid_oracles(case):
+    a_rows, b_rows, k = case
+    a, b = SqMatrix(a_rows), SqMatrix(b_rows)
+    n = a.n
+    for m in (a, b):
+        _assert_canonical(m)
+    assert a.rows == _grid(a_rows) and b.rows == _grid(b_rows)
+
+    prod = a * b
+    _assert_canonical(prod)
+    assert prod.rows == _grid(mul_grid(a_rows, b_rows))
+
+    d = det_grid(a_rows)
+    assert a.det() == d
+    if d:
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert inv.rows == _grid(inverse_grid(a_rows))
+        assert (a * inv).is_identity()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        k = abs(k)
+    power = a**k
+    _assert_canonical(power)
+    assert power.rows == _grid(_grid_power(a_rows, k))
+
+    assert a.is_identity() == (_grid(a_rows) == _grid(identity_grid(n)))
+    assert (a == b) == (_grid(a_rows) == _grid(b_rows))
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_charpoly_two_methods_agree():
@@ -110,6 +199,23 @@ def test_embed_regular_examples():
         assert abs(got - want) < 1e-9
     ident = embed_regular(SqMatrix.identity(2, f))
     assert ident == SqMatrix.identity(4)
+
+
+def test_field_matrix_arithmetic_matches_embedding():
+    # the regular representation is a ring map, so the FieldElement
+    # product, inverse, power and trace must agree with the rational ones
+    f = make_field(Poly([-2, 0, 1]))
+    r2 = f.generator
+    m = SqMatrix([[r2, f.one], [f.zero, r2.inverse()]], f)
+    h = SqMatrix([[f.one, r2], [f.zero, f.one]], f)
+    big_m, big_h = embed_regular(m), embed_regular(h)
+    assert embed_regular(m * h) == big_m * big_h
+    assert embed_regular(m.inverse()) == big_m.inverse()
+    assert embed_regular(m**-3) == big_m**-3
+    assert embed_regular(m - h + h) == big_m
+    assert (m * m.inverse()).is_identity() and not m.is_identity()
+    assert m.trace() == r2 + r2.inverse()
+    assert big_m.trace() == 0  # the field traces of sqrt2 and 1/sqrt2 vanish
 
 
 def test_embed_regular_rejects_det_not_one():

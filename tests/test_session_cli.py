@@ -85,6 +85,49 @@ def test_cli_classify_ballistic_report_shape():
     assert isinstance(doc["length2"]["arch"], float)
 
 
+def test_cli_classify_direction_computes_one_charpoly(monkeypatch):
+    # classify, drift_profile, direction_profile and is_diagonalizable all
+    # read the charpoly of the same matrix; it is computed once and kept on it
+    import flatcert.linalg as linalg
+
+    calls = []
+    berkowitz = linalg._berkowitz
+
+    def counting(a):
+        calls.append(a)
+        return berkowitz(a)
+
+    monkeypatch.setattr(linalg, "_berkowitz", counting)
+    session = json.dumps({"generators": {"a": [["2", "1"], ["1", "1"]]}})
+    res = _run(["-i", "session.json", "classify", "--direction", "a"], session=session)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["tag"] == "Ballistic"
+    assert len(calls) == 1
+
+
+def test_in_process_calls_release_their_streams(tmp_path):
+    # a caller that captures each call in fresh streams, as a test runner or
+    # a request server does, must not have them kept alive by the CLI
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    path = tmp_path / "session.json"
+    path.write_text(SESSION)
+    refs = []
+    for args in (["places"], ["classify", "a**b"]):  # a report, an error
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit):
+                main(["-i", str(path), *args])
+        assert (out.getvalue() or err.getvalue()).startswith("{")
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
 def test_cli_places():
     res = _run(["-i", "session.json", "places"])
     assert res.exit_code == 0
