@@ -1,9 +1,12 @@
-"""Complex root approximation with certified error bounds.
+"""Complex root approximation with estimated error bounds.
 
 The input polynomial is exact, so we first split off multiplicities with
 Yun's algorithm (exact gcds), then run Aberth-Ehrlich simultaneous
 iteration on each squarefree factor.  The per-root bound deg * |q(z)/q'(z)|
-is rigorous: 1/|q'(z)/q(z)| = 1/|sum 1/(z - r_i)| >= (min_i |z - r_i|)/deg.
+would be rigorous in exact arithmetic, since
+1/|q'(z)/q(z)| = 1/|sum 1/(z - r_i)| >= (min_i |z - r_i|)/deg; here q(z)
+and q'(z) are evaluated in double precision, where the residual q(z) can
+round to 0, so the bound is a floating estimate, not a certificate.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _aberth(q: Poly, tol: float) -> list[tuple[complex, float]]:
             else:
                 zs[i] -= newton / denom
         if converged:
-            # final rigorous bounds at the accepted points
+            # final floating bound estimates at the accepted points
             for i in range(n):
                 dpz = ev(dcs, zs[i])
                 bounds[i] = n * abs(ev(cs, zs[i]) / dpz) if dpz != 0 else math.inf

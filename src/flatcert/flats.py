@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -171,8 +171,7 @@ class FlatCertificate:
 
     For Degenerate, lattice_rank is the number of independent verified
     drift directions that remain, and null_vectors lists every verified
-    independent integer null vector.  gram is the Gram matrix the
-    certificate was decided on.
+    independent integer null vector.
     """
 
     tag: str
@@ -182,7 +181,6 @@ class FlatCertificate:
     witness_word: str | None = None
     witness_class: Classification | None = None
     null_vectors: tuple[tuple[int, ...], ...] | None = None
-    gram: GramData | None = field(default=None, repr=False, compare=False)
 
 
 def _primitive(vec: list[Fraction]) -> tuple[int, ...] | None:
@@ -320,7 +318,7 @@ def flat_certificate(
                 "floating Gram is positive definite but the exact non-archimedean part is not PSD"
             )
         covolume = math.sqrt(max(float(np.linalg.det(combined)), 0.0))
-        return FlatCertificate(tag="Lattice", rank=r, covolume=covolume, gram=g)
+        return FlatCertificate(tag="Lattice", rank=r, covolume=covolume)
 
     threshold = pd_epsilon * max(trace, 0.0)
     verified: list[tuple[tuple[int, ...], str, Classification]] = []
@@ -346,7 +344,6 @@ def flat_certificate(
         witness_word=primary_word,
         witness_class=primary_class,
         null_vectors=tuple(independent),
-        gram=g,
     )
 
 

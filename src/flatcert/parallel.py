@@ -1,4 +1,4 @@
-"""Serial map over per-place and per-torus work.
+"""Serial map over per-torus work.
 
 The mapped work is pure Python under the interpreter lock, so a thread pool
 ran no faster than one thread; results come back in input order.

@@ -12,7 +12,7 @@ import json
 import math
 from fractions import Fraction
 
-from .flats import FlatCertificate, GramData
+from .flats import FlatCertificate
 from .manifold import GluingReport, NpcResult
 from .places import Classification, DirectionProfile, DriftProfile, PlaceSet
 from .session import fraction_str
@@ -26,7 +26,6 @@ __all__ = [
     "places_dict",
     "flat_dict",
     "npc_dict",
-    "gram_dict",
 ]
 
 
@@ -135,13 +134,6 @@ def direction_dict(d: DirectionProfile) -> dict:
         "norms2Nonarch": dict(d.norms2_nonarch),
         "units": {k: list(v) for k, v in d.units.items()},
         "joinAngles": {f"{p}->{q}": a for (p, q), a in d.angles.items()},
-    }
-
-
-def gram_dict(g: GramData) -> dict:
-    return {
-        "nonarch": [list(row) for row in g.nonarch],
-        "arch": [list(row) for row in g.arch],
     }
 
 

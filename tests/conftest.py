@@ -195,3 +195,35 @@ def quasi_unipotent_order_factor(cp: Poly, n: int) -> int | None:
             return None
         k0 = math.lcm(k0, k)
     return k0
+
+
+# -- gluing covariance oracle: the Gram transport G' = U^T G U ---------------
+
+
+def congruence(g, u):
+    """U^T G U for a 2x2 integer U; entries may be Fraction or float."""
+    out = [[0, 0], [0, 0]]
+    for i in range(2):
+        for j in range(2):
+            acc = 0
+            for k in range(2):
+                for l in range(2):
+                    acc = acc + u[k][i] * g[k][l] * u[l][j]
+            out[i][j] = acc
+    return out
+
+
+def gram_close(second, transported_nonarch, transported_arch) -> tuple[bool, float]:
+    """(exact equality of the non-archimedean parts, worst relative error
+    of the archimedean parts, relative to max(1, |a|, |b|))."""
+    r = second.rank
+    exact = all(
+        second.nonarch[i][j] == transported_nonarch[i][j] for i in range(r) for j in range(r)
+    )
+    worst = 0.0
+    for i in range(r):
+        for j in range(r):
+            a, b = second.arch[i][j], transported_arch[i][j]
+            scale = max(1.0, abs(a), abs(b))
+            worst = max(worst, abs(a - b) / scale)
+    return exact, worst

@@ -7,12 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcert import (
+    CommutingFamily,
     GluingSpec,
     GraphRep,
     SqMatrix,
     TorusRep,
+    discover_places,
     factor_q,
     gluing_covariance,
     is_unipotent,
@@ -26,7 +30,7 @@ from flatcert.manifold import InvalidGraphRep, graph_certificate
 from flatcert.places import _charpoly_drift
 from flatcert.session import parse_graph
 
-from conftest import unimodular_2x2
+from conftest import congruence, gram_close, random_diag_23, unimodular, unimodular_2x2
 
 D2 = SqMatrix.diagonal([2, F(1, 2)])
 D3 = SqMatrix.diagonal([3, F(1, 3)])
@@ -112,6 +116,37 @@ def test_gluing_covariance_identity_and_shear():
         assert report.ok and report.nonarch_exact
 
 
+@st.composite
+def _commuting_pairs(draw):
+    """A commuting det-1 pair: two 2^a 3^b diagonals conjugated by one
+    unimodular matrix, or two 2x2 unipotents with a common fixed line."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        p = unimodular(rng, n)
+        return tuple(p * random_diag_23(rng, n) * p.inverse() for _ in range(2))
+    s, t = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    return SqMatrix([[1, s], [0, 1]]), SqMatrix([[1, t], [0, 1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_commuting_pairs(), st.randoms(use_true_random=False))
+def test_second_basis_gram_is_the_congruence(pair, rng):
+    # the oracle behind gluing_covariance: gram of the U-words is U^T G U
+    a, b = pair
+    u = unimodular_2x2(rng)
+    places = discover_places([a, b])
+    first = gram(CommutingFamily.build([("a", a), ("b", b)], places=places))
+    second_basis = [
+        ("x", a ** u[0][0] * b ** u[1][0]),
+        ("y", a ** u[0][1] * b ** u[1][1]),
+    ]
+    second = gram(CommutingFamily.build(second_basis, places=places))
+    exact, worst = gram_close(second, congruence(first.nonarch, u), congruence(first.arch, u))
+    assert exact
+    assert worst <= 1e-8
+
+
 def test_rebasing_preserves_npc_tag():
     rng = random.Random(149)
     cases = [(D2, D3, "NPC"), (U1, U5, "Obstruction"), (D2, SqMatrix.diagonal([4, F(1, 4)]), "Obstruction")]
@@ -165,7 +200,7 @@ def test_cli_graph_validates_once_and_reuses_base_grams(monkeypatch, tmp_path):
     assert res.exit_code == 2, res.output
     assert json.loads(res.output)["obstruction"]["torus"] == "T3"
     assert len(validations) == 1
-    assert len(grams) == 3 + 2  # one per torus, one per second basis
+    assert len(grams) == 3  # one per torus; the gluings follow from validation
 
 
 def test_cli_graph_evaluates_each_second_basis_word_once(monkeypatch, tmp_path):
@@ -222,5 +257,104 @@ def test_cli_graph_reports_invalid_rep(tmp_path):
                 "kind": "BasisMismatch",
                 "detail": "second basis word 'a' does not equal the U-word",
             }
+        ],
+    }
+
+
+GRAPH_REPORT = """\
+{
+  "gluings": [
+    {
+      "archMaxRelErr": 0,
+      "nonarchExact": true,
+      "ok": true,
+      "torus": "T1"
+    },
+    {
+      "archMaxRelErr": 0,
+      "nonarchExact": true,
+      "ok": true,
+      "torus": "T2"
+    }
+  ],
+  "obstruction": {
+    "torus": "T3",
+    "witness": "a",
+    "witnessClass": {
+      "tag": "Unipotent"
+    }
+  },
+  "tag": "Obstruction",
+  "tori": {
+    "T1": {
+      "covolume": 3.27865946675,
+      "rank": 2,
+      "tag": "Lattice"
+    },
+    "T2": {
+      "covolume": 4.03521667716,
+      "rank": 2,
+      "tag": "Lattice"
+    },
+    "T3": {
+      "latticeRank": 0,
+      "nullVector": [
+        1,
+        0
+      ],
+      "nullVectors": [
+        [
+          1,
+          0
+        ],
+        [
+          0,
+          1
+        ]
+      ],
+      "tag": "Degenerate",
+      "witness": "a",
+      "witnessClass": {
+        "tag": "Unipotent"
+      }
+    }
+  }
+}
+"""
+
+
+def test_cli_graph_report_bytes(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(GRAPH_DOC)
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout_bytes == GRAPH_REPORT.encode()
+
+
+DUPLICATE_ID_DOC = json.dumps(
+    {
+        "tori": [
+            {"id": "T1", "A": [["1", "1"], ["0", "1"]], "B": [["1", "5"], ["0", "1"]]},
+            {"id": "T1", "A": [["2", "0"], ["0", "1/2"]], "B": [["3", "0"], ["0", "1/3"]]},
+        ],
+        "gluings": [{"torus": "T1", "U": [[0, 1], [1, 0]], "secondBasisWords": ["b", "a"]}],
+    }
+)
+
+
+def test_duplicate_torus_ids_are_invalid(tmp_path):
+    rep = parse_graph(DUPLICATE_ID_DOC)
+    assert [v.kind for v in validate(rep)] == ["DuplicateTorus"]
+    for check in (npc_certificate, gluing_covariance, graph_certificate):
+        with pytest.raises(InvalidGraphRep):
+            check(rep)
+    path = tmp_path / "graph.json"
+    path.write_text(DUPLICATE_ID_DOC)
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {
+        "tag": "Invalid",
+        "violations": [
+            {"torus": "T1", "kind": "DuplicateTorus", "detail": "another torus has the same id"}
         ],
     }
