@@ -12,10 +12,6 @@ import sys
 
 import click
 
-# exit code 2 is reserved for obstruction/degenerate certificates; click's
-# own usage errors must land on the generic error code instead
-click.exceptions.UsageError.exit_code = 1
-
 from . import errors
 from .flats import CommutingFamily, flat_certificate
 from .linalg import block_decompose
@@ -69,7 +65,26 @@ class Options:
         sys.exit(1)
 
 
-@click.group()
+class _Main(click.Group):
+    """Usage errors exit 1: exit code 2 is reserved for obstruction and
+    degenerate certificates.  Set per error, so click stays untouched."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+
+@click.group(cls=_Main)
 @click.option("--input", "-i", "input_path", type=click.Path(), default=None,
               help="Session JSON file with named det-1 generators.")
 @click.option("--tolerance", type=float, default=1e-12, show_default=True,

@@ -103,11 +103,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
-
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.field == other.field and self.coords == other.coords
@@ -199,3 +194,7 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
+
+    def __str__(self):
+        """Power-basis coordinates as exact rationals, e.g. [3, 2]."""
+        return f"[{', '.join(map(str, self.coords))}]"

@@ -89,7 +89,7 @@ class CommutingFamily:
         return len(self.gens)
 
     def word_matrix(self, exponents) -> SqMatrix:
-        out = SqMatrix.identity(self.gens[0].n, self.gens[0].field)
+        out = SqMatrix.identity(self.gens[0].n)
         for g, e in zip(self.gens, exponents):
             if e:
                 out = out * g**e

@@ -1,18 +1,18 @@
-"""Exact square-matrix algebra over Q and Q(alpha).
+"""Exact square-matrix algebra over Q.
 
-A rational matrix is stored as integer rows ``num`` over one common
-denominator ``den`` > 0, normalized so that gcd(den, every entry) = 1.  The
-form is canonical, so equality and hashing compare integers, and products,
-powers, inverses and determinants run on integers with one gcd
-normalization per result.  Inverses and determinants use fraction-free
-Bareiss elimination (Bareiss, Math. Comp. 1968); characteristic
-polynomials use division-free Berkowitz on ``num`` (the test suite
-cross-checks against Faddeev-LeVerrier and determinant interpolation) and
-are kept on the matrix after the first call; kernels come from Bareiss
-forward elimination.  Matrices over Q(alpha) keep FieldElement rows and
-plain elimination; they exist only between parsing and embed_regular.
-Commuting families are split into blocks on which every generator's
-characteristic polynomial is a power of a single Q-irreducible.
+A matrix is stored as integer rows ``num`` over one common denominator
+``den`` > 0, normalized so that gcd(den, every entry) = 1.  The form is
+canonical, so equality and hashing compare integers, and products, powers,
+inverses and determinants run on integers with one gcd normalization per
+result.  Inverses and determinants use fraction-free Bareiss elimination
+(Bareiss, Math. Comp. 1968); characteristic polynomials use division-free
+Berkowitz on ``num`` (the test suite cross-checks against Faddeev-LeVerrier
+and determinant interpolation) and are kept on the matrix after the first
+call; kernels come from Bareiss forward elimination.  A matrix over
+Q(alpha) is only ever an entry grid: embed_regular checks its determinant
+in the field and folds it into a rational matrix by the regular
+representation.  Commuting families are split into blocks on which every
+generator's characteristic polynomial is a power of a single Q-irreducible.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DeterminantNotOne, DimensionMismatch, NotCommuting
 from .exact.integers import euler_phi
-from .exact.numberfield import FieldElement, NumberField
+from .exact.numberfield import NumberField
 from .exact.poly import Poly, factor_q
 
 __all__ = [
@@ -44,57 +44,34 @@ __all__ = [
 ]
 
 
-def _as_scalar(x, field: NumberField | None):
-    if field is None:
-        if isinstance(x, FieldElement):
-            return x.as_rational()
-        return Fraction(x)
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise DimensionMismatch("entry from a different number field")
-        return x
-    return field.from_rational(Fraction(x))
-
-
 @functools.cache
 def _identity_num(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class SqMatrix:
-    """Immutable square matrix.
+    """Immutable square rational matrix.
 
-    Over Q (field None) the entries are num[i][j] / den: integer rows over
-    one denominator den > 0 with gcd(den, every entry) = 1.  Over a number
-    field they are FieldElements.  ``rows`` is the entry view in either
-    case (Fractions over Q).
+    The entries are num[i][j] / den: integer rows over one denominator
+    den > 0 with gcd(den, every entry) = 1.  ``rows`` is the Fraction view;
+    the characteristic polynomial is kept in a slot once computed.
     """
 
-    __slots__ = ("n", "field", "num", "den", "_field_rows", "_charpoly")
+    __slots__ = ("n", "num", "den", "_charpoly")
 
-    def __init__(self, rows, field: NumberField | None = None):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+    def __init__(self, rows):
+        entries = [[Fraction(x) for x in r] for r in rows]
+        n = len(entries)
+        if any(len(r) != n for r in entries):
             raise DimensionMismatch("matrix is not square")
-        if field is None:
-            field = next(
-                (x.field for r in rows for x in r if isinstance(x, FieldElement)), None
-            )
-        if field is None:
-            entries = [[_as_scalar(x, None) for x in r] for r in rows]
-            den = math.lcm(1, *(x.denominator for r in entries for x in r))
-            num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in entries)
-            # den is the lcm of reduced denominators, so (num, den) is normalized
-            self._set(n, None, num, den, None)
-        else:
-            self._set(
-                n, field, None, None, tuple(tuple(_as_scalar(x, field) for x in r) for r in rows)
-            )
+        den = math.lcm(1, *(x.denominator for r in entries for x in r))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in entries)
+        # den is the lcm of reduced denominators, so (num, den) is normalized
+        self._set(num, den)
 
-    def _set(self, n, field, num, den, field_rows):
+    def _set(self, num, den):
         """Fill every slot once; the charpoly slot starts empty."""
-        for name, value in zip(self.__slots__, (n, field, num, den, field_rows, None)):
+        for name, value in zip(self.__slots__, (len(num), num, den, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -104,70 +81,49 @@ class SqMatrix:
 
     @classmethod
     def _over(cls, num: tuple[tuple[int, ...], ...], den: int = 1) -> "SqMatrix":
-        """The rational matrix num / den from integer row tuples, den > 0."""
+        """The matrix num / den from integer row tuples, den > 0."""
         if den != 1:
             g = math.gcd(den, *itertools.chain.from_iterable(num))
             if g != 1:
                 num = tuple(tuple(x // g for x in r) for r in num)
                 den //= g
         m = object.__new__(cls)
-        m._set(len(num), None, num, den, None)
+        m._set(num, den)
         return m
 
     @classmethod
-    def identity(cls, n: int, field: NumberField | None = None) -> "SqMatrix":
-        if field is None:
-            return cls._over(_identity_num(n))
-        one, zero = field.one, field.zero
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], field)
+    def identity(cls, n: int) -> "SqMatrix":
+        return cls._over(_identity_num(n))
 
     @classmethod
-    def diagonal(cls, entries, field: NumberField | None = None) -> "SqMatrix":
+    def diagonal(cls, entries) -> "SqMatrix":
         entries = list(entries)
         n = len(entries)
-        zero = Fraction(0) if field is None else field.zero
-        return cls(
-            [[entries[i] if i == j else zero for j in range(n)] for i in range(n)], field
-        )
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- basics ---------------------------------------------------------
 
     @property
-    def rows(self) -> tuple[tuple, ...]:
-        """The entries row by row: Fractions over Q, FieldElements over
-        Q(alpha)."""
-        if self.field is not None:
-            return self._field_rows
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries row by row, as Fractions."""
         d = self.den
         return tuple(tuple(Fraction(x, d) for x in r) for r in self.num)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SqMatrix)
-            and self.num == other.num
-            and self.den == other.den
-            and self.field == other.field
-            and self._field_rows == other._field_rows
-        )
+        return isinstance(other, SqMatrix) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den, self.field, self._field_rows))
+        return hash((self.num, self.den))
 
     def __getitem__(self, ij):
         i, j = ij
-        if self.field is not None:
-            return self._field_rows[i][j]
         return Fraction(self.num[i][j], self.den)
 
     def is_identity(self) -> bool:
-        if self.field is None:
-            return self.den == 1 and self.num == _identity_num(self.n)
-        return self == SqMatrix.identity(self.n, self.field)
+        return self.den == 1 and self.num == _identity_num(self.n)
 
-    def trace(self):
-        if self.field is None:
-            return Fraction(sum(r[i] for i, r in enumerate(self.num)), self.den)
-        return sum((r[i] for i, r in enumerate(self._field_rows)), self.field.zero)
+    def trace(self) -> Fraction:
+        return Fraction(sum(r[i] for i, r in enumerate(self.num)), self.den)
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
         return self._entrywise(other, operator.add)
@@ -177,11 +133,6 @@ class SqMatrix:
 
     def _entrywise(self, other: "SqMatrix", op) -> "SqMatrix":
         self._check_compat(other)
-        if self.field is not None:
-            return SqMatrix(
-                [[op(x, y) for x, y in zip(r, q)] for r, q in zip(self._field_rows, other._field_rows)],
-                self.field,
-            )
         d = math.lcm(self.den, other.den)
         s, t = d // self.den, d // other.den
         return SqMatrix._over(
@@ -194,38 +145,20 @@ class SqMatrix:
             raise TypeError("expected a SqMatrix")
         if self.n != other.n:
             raise DimensionMismatch(f"dimensions {self.n} and {other.n} differ")
-        if self.field != other.field:
-            raise DimensionMismatch("matrices over different fields")
 
     def scale(self, c) -> "SqMatrix":
-        c = _as_scalar(c, self.field)
-        if self.field is not None:
-            return SqMatrix([[c * x for x in r] for r in self._field_rows], self.field)
+        c = Fraction(c)
         return SqMatrix._over(
             tuple(tuple(c.numerator * x for x in r) for r in self.num), self.den * c.denominator
         )
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         self._check_compat(other)
-        if self.field is None:
-            cols = tuple(zip(*other.num))
-            return SqMatrix._over(
-                tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.num),
-                self.den * other.den,
-            )
-        zero = self.field.zero
-        cols = list(zip(*other._field_rows))
-        out = []
-        for row in self._field_rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != 0:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return SqMatrix(out, self.field)
+        cols = tuple(zip(*other.num))
+        return SqMatrix._over(
+            tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.num),
+            self.den * other.den,
+        )
 
     def __pow__(self, k: int) -> "SqMatrix":
         if k < 0:
@@ -238,7 +171,7 @@ class SqMatrix:
             k >>= 1
             if k:
                 base = base * base
-        return SqMatrix.identity(self.n, self.field) if result is None else result
+        return SqMatrix.identity(self.n) if result is None else result
 
     def commutes_with(self, other: "SqMatrix") -> bool:
         return self * other == other * self
@@ -248,23 +181,17 @@ class SqMatrix:
 
     # -- elimination-based kernels: det, inverse, solve -------------------
 
-    def det(self):
-        """Exact determinant (Bareiss on num over Q, ordinary elimination
-        over Q(alpha))."""
-        if self.field is None:
-            return Fraction(_det_bareiss(self.num), self.den**self.n)
-        return _det_elimination(self)
+    def det(self) -> Fraction:
+        """Exact determinant: Bareiss on num, over den^n."""
+        return Fraction(_det_bareiss(self.num), self.den**self.n)
 
     def inverse(self) -> "SqMatrix":
-        """Exact inverse.
+        """Exact inverse by fraction-free Gauss-Jordan (Bareiss) on [num | I].
 
-        Over Q: fraction-free Gauss-Jordan (Bareiss) on [num | I].  Every
-        intermediate entry is a minor of [num | I], so each division is
-        exact; at the end each row reads [d e_i | d num^-1 row i] with d the
-        determinant of the row-swapped num, and m^-1 = den num^-1.
+        Every intermediate entry is a minor of [num | I], so each division
+        is exact; at the end each row reads [d e_i | d num^-1 row i] with d
+        the determinant of the row-swapped num, and m^-1 = den num^-1.
         """
-        if self.field is not None:
-            return _inverse_elimination(self)
         n = self.n
         a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num)]
         prev = 1
@@ -288,17 +215,7 @@ class SqMatrix:
         return c * self * c.inverse()
 
     def submatrix(self, idx: list[int]) -> "SqMatrix":
-        if self.field is None:
-            return SqMatrix._over(
-                tuple(tuple(self.num[i][j] for j in idx) for i in idx), self.den
-            )
-        return SqMatrix([[self._field_rows[i][j] for j in idx] for i in idx], self.field)
-
-    def denominator_lcm(self) -> int:
-        """lcm of entry denominators (power-basis coordinates for Q(alpha))."""
-        if self.field is None:
-            return self.den
-        return math.lcm(1, *(c.denominator for r in self._field_rows for x in r for c in x.coords))
+        return SqMatrix._over(tuple(tuple(self.num[i][j] for j in idx) for i in idx), self.den)
 
 
 def _det_bareiss(num) -> int:
@@ -326,59 +243,6 @@ def _det_bareiss(num) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_elimination(m: SqMatrix):
-    """Plain Gaussian elimination determinant over a number field."""
-    n = m.n
-    a = [list(row) for row in m.rows]
-    det = m.field.one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return m.field.zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        p = a[col][col]
-        det = det * p
-        pinv = m.field.one / p
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * pinv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _inverse_elimination(m: SqMatrix) -> SqMatrix:
-    """Gauss-Jordan inverse over a number field."""
-    n = m.n
-    zero, one = m.field.zero, m.field.one
-    a = [list(row) for row in m.rows]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pinv = one / a[col][col]
-        a[col] = [x * pinv for x in a[col]]
-        inv[col] = [x * pinv for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return SqMatrix(inv, m.field)
-
-
 # -- characteristic polynomial -------------------------------------------
 
 
@@ -391,8 +255,6 @@ def charpoly(m: SqMatrix) -> Poly:
     is immutable), so every analysis of the same matrix shares one
     computation.
     """
-    if m.field is not None:
-        raise DimensionMismatch("charpoly is defined over Q; embed_regular first")
     if m._charpoly is None:
         n, d = m.n, m.den
         p = _berkowitz(m.num)
@@ -425,27 +287,59 @@ def _berkowitz(a) -> list[int]:
     return p
 
 
-def embed_regular(m: SqMatrix) -> SqMatrix:
-    """Replace each Q(alpha) entry by its d x d regular representation.
+def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
+    """The rational SL matrix of a det-1 entry grid.
 
-    The output is an (n*d) x (n*d) rational matrix whose characteristic
-    polynomial is the product of all embeddings of charpoly(m); requires
-    det(m) = 1 so the output is again in SL.
+    Over Q (field None) the entries are rationals and the result is
+    SqMatrix(rows).  Over Q(alpha) they are FieldElements, and each becomes
+    its d x d regular representation: the output is an (n*d) x (n*d)
+    rational matrix whose characteristic polynomial is the product of all
+    embeddings of the field charpoly.  det = 1 is checked exactly before
+    embedding, in the entry field: the embedded determinant is only the
+    norm of the field determinant, which can be 1 when det is not.
     """
-    if m.det() != 1:
-        raise DeterminantNotOne(det=m.det())
-    if m.field is None:
+    if field is None:
+        m = SqMatrix(rows)
+        if m.det() != 1:
+            raise DeterminantNotOne(det=m.det())
         return m
-    d = m.field.degree
-    n = m.n
-    big = [[Fraction(0)] * (n * d) for _ in range(n * d)]
-    for i in range(n):
-        for j in range(n):
-            block = m._field_rows[i][j].regular_matrix()
-            for bi in range(d):
-                for bj in range(d):
-                    big[i * d + bi][j * d + bj] = block[bi][bj]
-    return SqMatrix(big)
+    rows = [list(r) for r in rows]
+    if any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatch("matrix is not square")
+    det = _field_det(rows, field)
+    if det != 1:
+        raise DeterminantNotOne(det=det)
+    d = field.degree
+    blocks = [[x.regular_matrix() for x in r] for r in rows]
+    return SqMatrix(
+        [[b[bi][bj] for b in brow for bj in range(d)] for brow in blocks for bi in range(d)]
+    )
+
+
+def _field_det(rows, field: NumberField):
+    """Plain Gaussian elimination determinant of a grid over a number field."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    det = field.one
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if a[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return field.zero
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        p = a[col][col]
+        det = det * p
+        pinv = field.one / p
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * pinv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
 
 
 # -- kernels ----------------------------------------------------------------
@@ -459,8 +353,6 @@ def kernel_basis(m: SqMatrix) -> list[list[Fraction]]:
     back-substitution; one basis vector per free column, deterministic
     order.
     """
-    if m.field is not None:
-        raise DimensionMismatch("kernel_basis is defined over Q")
     n = m.n
     a = [list(r) for r in m.num]
 
@@ -507,9 +399,9 @@ def kernel_basis(m: SqMatrix) -> list[list[Fraction]]:
 def poly_at_matrix(p: Poly, m: SqMatrix) -> SqMatrix:
     """Exact Horner evaluation of p at a matrix."""
     n = m.n
-    acc = SqMatrix.identity(n, m.field).scale(0)
+    acc = SqMatrix.identity(n).scale(0)
     for c in reversed(p.coeffs):
-        acc = acc * m + SqMatrix.identity(n, m.field).scale(c)
+        acc = acc * m + SqMatrix.identity(n).scale(c)
     return acc
 
 
@@ -669,8 +561,6 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]] | list[SqMatrix]) -> 
         raise ValueError("empty generator list")
     n = gens[0].n
     for g in gens:
-        if g.field is not None:
-            raise DimensionMismatch("block_decompose is defined over Q; embed_regular first")
         if g.n != n:
             raise DimensionMismatch("generators of different dimensions")
     for (i, a), (j, b) in itertools.combinations(enumerate(gens), 2):

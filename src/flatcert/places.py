@@ -109,7 +109,7 @@ def discover_places(gens: list[SqMatrix]) -> PlaceSet:
     denom = 1
     for g in gens:
         _check_det_one(g)
-        denom = lcm(denom, g.denominator_lcm())
+        denom = lcm(denom, g.den)
     primes = tuple(p for p, _ in prime_factors(denom))
     return PlaceSet(primes=primes)
 
@@ -117,8 +117,7 @@ def discover_places(gens: list[SqMatrix]) -> PlaceSet:
 def _check_places_complete(m: SqMatrix, places: PlaceSet):
     from .exact.integers import prime_factors
 
-    denom = m.denominator_lcm()
-    missing = [p for p, _ in prime_factors(denom) if p not in places.primes]
+    missing = [p for p, _ in prime_factors(m.den) if p not in places.primes]
     if missing:
         raise PlaceSetIncomplete(missing)
 

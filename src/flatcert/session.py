@@ -3,9 +3,11 @@
 A session is JSON with an optional number-field minpoly (coefficient
 strings, lowest degree first) and named det-1 generator matrices; entries
 are exact scalar strings "p/q" over Q, or coordinate arrays in the power
-basis over Q(alpha).  Matrices over a number field are folded into plain
-rational matrices by the regular representation at load time, so every
-downstream computation sees rational matrices only.
+basis over Q(alpha).  Parsing yields square entry grids (Fractions over Q,
+FieldElements over Q(alpha)); embed_regular checks det = 1 in the entry
+field and folds each grid into a rational SqMatrix, by the regular
+representation over Q(alpha), so every downstream computation sees
+rational matrices only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, DimensionMismatch, ParseError
-from .exact.numberfield import NumberField, make_field
+from .exact.numberfield import FieldElement, NumberField, make_field
 from .exact.poly import Poly
 from .linalg import SqMatrix, embed_regular
 from .manifold import GluingSpec, GraphRep, TorusRep
@@ -63,20 +65,23 @@ def parse_scalar(value, field: NumberField | None):
     raise ParseError(0, "a scalar string or coordinate array", value)
 
 
-def parse_matrix(rows, field: NumberField | None) -> SqMatrix:
+def parse_matrix(rows, field: NumberField | None) -> list[list[Fraction | FieldElement]]:
+    """The square entry grid of a matrix document."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(0, "a nonempty array of matrix rows", rows)
     parsed = [[parse_scalar(x, field) for x in row] for row in rows]
-    return SqMatrix(parsed, field)
+    if any(len(r) != len(parsed) for r in parsed):
+        raise DimensionMismatch("matrix is not square")
+    return parsed
 
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """Validated session: original generators, their rational embeddings,
-    and the discovered places of the embedded family."""
+    """Validated session: the parsed generator grids, their rational
+    embeddings, and the discovered places of the embedded family."""
 
     field: NumberField | None
-    generators: dict[str, SqMatrix]
+    generators: dict[str, list[list[Fraction | FieldElement]]]
     embedded: dict[str, SqMatrix]
     places: PlaceSet
 
@@ -112,24 +117,23 @@ def parse_session(text: str) -> SessionSpec:
     gens_doc = doc.get("generators")
     if not isinstance(gens_doc, dict) or not gens_doc:
         raise ParseError(0, 'a nonempty "generators" object', gens_doc)
-    generators: dict[str, SqMatrix] = {}
+    generators = {}
     dim = None
     for name in sorted(gens_doc):
         if not NAME_RE.fullmatch(name):
             raise ParseError(0, "a generator name matching [a-z][a-z0-9_]*", name)
-        m = parse_matrix(gens_doc[name], field)
+        rows = parse_matrix(gens_doc[name], field)
+        n = len(rows)
         if dim is None:
-            dim = m.n
-        elif m.n != dim:
-            raise DimensionMismatch(
-                f"generator {name!r} is {m.n}x{m.n}, expected {dim}x{dim}"
-            )
-        generators[name] = m
+            dim = n
+        elif n != dim:
+            raise DimensionMismatch(f"generator {name!r} is {n}x{n}, expected {dim}x{dim}")
+        generators[name] = rows
     # embed_regular enforces det = 1 (exactly) for each generator
     embedded = {}
-    for name, m in generators.items():
+    for name, rows in generators.items():
         try:
-            embedded[name] = embed_regular(m)
+            embedded[name] = embed_regular(rows, field)
         except DeterminantNotOne as e:
             raise DeterminantNotOne(name=name, det=e.det) from None
     places = discover_places(list(embedded.values()))
@@ -160,8 +164,8 @@ def parse_graph(text: str) -> GraphRep:
     for t in tori_doc:
         _require_keys(t, ("id", "A", "B"), 'a torus object with "id", "A" and "B"')
         torus_id = _string(t["id"], "a torus id string")
-        a = embed_regular(parse_matrix(t["A"], field))
-        b = embed_regular(parse_matrix(t["B"], field))
+        a = embed_regular(parse_matrix(t["A"], field), field)
+        b = embed_regular(parse_matrix(t["B"], field), field)
         if a.n != b.n:
             raise DimensionMismatch(f"torus {torus_id!r} basis image dimensions differ")
         tori.append(TorusRep(id=torus_id, a=a, b=b))

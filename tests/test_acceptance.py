@@ -218,8 +218,7 @@ def test_criterion_08_graph_checker_cli():
 def test_criterion_09_regular_representation_consistency():
     field = make_field(Poly([-2, 0, 1]))
     r2 = field.generator
-    m = SqMatrix.diagonal([r2, r2.inverse()], field)
-    big = embed_regular(m)
+    big = embed_regular([[r2, field.zero], [field.zero, r2.inverse()]], field)
     places = discover_places([big])
     prof = drift_profile(big, places)
     half = 0.5 * math.log(2)

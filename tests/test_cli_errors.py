@@ -7,6 +7,7 @@ import json
 from contextlib import redirect_stderr
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -86,6 +87,33 @@ def test_error_report_bytes_per_module(module):
     res = _run(["-i", "doc.json", *command], doc)
     assert res.exit_code == 1
     assert res.stderr == expected
+
+
+def test_field_determinant_error_bytes():
+    # a field determinant prints as its exact power-basis coordinates
+    doc = json.dumps({"field": ["-2", "0", "1"], "generators": {"g": [[["3", "2"], "0"], ["0", "1"]]}})
+    res = _run(["-i", "doc.json", "places"], doc)
+    assert res.exit_code == 1
+    assert res.stderr == _error_json(
+        "DeterminantNotOne", "linalg", "generator 'g' has determinant [3, 2], expected 1"
+    )
+
+
+def test_usage_error_exit_code_leaves_click_alone():
+    # the CLI gives its own usage errors exit 1 without patching click's class
+    assert click.exceptions.UsageError.exit_code == 2
+    res = CliRunner().invoke(main, ["classify", "a"])
+    assert res.exit_code == 1
+    assert res.stderr == (
+        "Usage: main classify [OPTIONS] WORD\n"
+        "Try 'main classify --help' for help.\n"
+        "\n"
+        "Error: this command needs a session file: --input FILE\n"
+    )
+    # a usage error of the group's own options exits 1 too
+    res = CliRunner().invoke(main, ["--tolerance", "x", "places"])
+    assert res.exit_code == 1
+    assert res.stderr.endswith("Error: Invalid value for '--tolerance': 'x' is not a valid float.\n")
 
 
 @pytest.mark.parametrize(

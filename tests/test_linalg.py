@@ -182,11 +182,11 @@ def test_charpoly_triangular_is_diagonal_product():
 
 def test_embed_regular_examples():
     # over Q the embedding is the identity operation
-    m = SqMatrix([[1, 1], [0, 1]])
-    assert embed_regular(m) == m
+    m = [[1, 1], [0, 1]]
+    assert embed_regular(m) == SqMatrix(m)
     f = make_field(Poly([-2, 0, 1]))
     r2 = f.generator
-    big = embed_regular(SqMatrix([[r2, f.zero], [f.zero, r2.inverse()]], f))
+    big = embed_regular([[r2, f.zero], [f.zero, r2.inverse()]], f)
     assert big.n == 4
     assert big.det() == 1
     cp = charpoly(big)
@@ -197,31 +197,64 @@ def test_embed_regular_examples():
     expect = sorted([math.sqrt(2), math.sqrt(2), 1 / math.sqrt(2), 1 / math.sqrt(2)])
     for got, want in zip(values, expect):
         assert abs(got - want) < 1e-9
-    ident = embed_regular(SqMatrix.identity(2, f))
+    ident = embed_regular([[f.one, f.zero], [f.zero, f.one]], f)
     assert ident == SqMatrix.identity(4)
 
 
-def test_field_matrix_arithmetic_matches_embedding():
-    # the regular representation is a ring map, so the FieldElement
-    # product, inverse, power and trace must agree with the rational ones
-    f = make_field(Poly([-2, 0, 1]))
-    r2 = f.generator
-    m = SqMatrix([[r2, f.one], [f.zero, r2.inverse()]], f)
-    h = SqMatrix([[f.one, r2], [f.zero, f.one]], f)
-    big_m, big_h = embed_regular(m), embed_regular(h)
-    assert embed_regular(m * h) == big_m * big_h
-    assert embed_regular(m.inverse()) == big_m.inverse()
-    assert embed_regular(m**-3) == big_m**-3
-    assert embed_regular(m - h + h) == big_m
-    assert (m * m.inverse()).is_identity() and not m.is_identity()
-    assert m.trace() == r2 + r2.inverse()
-    assert big_m.trace() == 0  # the field traces of sqrt2 and 1/sqrt2 vanish
+# (field, traces of 1, alpha, alpha^2, ...): the traces are the power sums
+# of the minimal polynomial's roots, from Newton's identities
+_TRACED_FIELDS = [
+    (make_field(Poly([-2, 0, 1])), (2, 0)),  # sqrt2
+    (make_field(Poly([2, -1, 0, 1])), (3, 0, 2)),  # x^3 - x + 2
+]
+
+
+@st.composite
+def _det1_grid_pairs(draw):
+    """A field and two det-1 grids [[x, y], [z, (1 + yz)/x]] over it."""
+    f, traces = draw(st.sampled_from(_TRACED_FIELDS))
+    coords = st.lists(st.integers(-3, 3), min_size=f.degree, max_size=f.degree)
+    grids = []
+    for _ in range(2):
+        x = f.element(draw(coords.filter(any)))
+        y, z = f.element(draw(coords)), f.element(draw(coords))
+        grids.append([[x, y], [z, (y * z + 1) / x]])
+    return f, traces, grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(_det1_grid_pairs())
+def test_embed_regular_is_a_ring_map(case):
+    f, traces, (a, b) = case
+
+    def mul(p, q):
+        return [[p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2)] for i in range(2)]
+
+    def inv(p):  # det 1: the adjugate
+        return [[p[1][1], -p[0][1]], [-p[1][0], p[0][0]]]
+
+    big_a, big_b = embed_regular(a, f), embed_regular(b, f)
+    assert embed_regular(mul(a, b), f) == big_a * big_b
+    assert embed_regular(inv(a), f) == big_a.inverse()
+    tr = a[0][0] + a[1][1]
+    assert big_a.trace() == sum(c * t for c, t in zip(tr.coords, traces))
 
 
 def test_embed_regular_rejects_det_not_one():
     f = make_field(Poly([-2, 0, 1]))
     with pytest.raises(DeterminantNotOne):
-        embed_regular(SqMatrix([[f.generator, f.zero], [f.zero, f.one]], f))
+        embed_regular([[f.generator, f.zero], [f.zero, f.one]], f)
+
+
+def test_embed_regular_rejects_det_of_norm_one():
+    # 3 + 2 sqrt2 is a unit of norm 1: the embedded determinant is 1, so
+    # only the determinant in the field tells that det != 1
+    f = make_field(Poly([-2, 0, 1]))
+    unit = f.element([3, 2])
+    assert SqMatrix(unit.regular_matrix()).det() == 1
+    with pytest.raises(DeterminantNotOne) as exc:
+        embed_regular([[unit, f.zero], [f.zero, f.one]], f)
+    assert exc.value.det == unit
 
 
 def test_embed_charpoly_is_product_of_embeddings():
@@ -235,10 +268,7 @@ def test_embed_charpoly_is_product_of_embeddings():
         lam = f.element([a, b])
         if lam.is_zero():
             continue
-        m = SqMatrix.diagonal([lam, lam.inverse()], f)
-        if m.det() != 1:
-            continue
-        cp = charpoly(embed_regular(m))
+        cp = charpoly(embed_regular([[lam, f.zero], [f.zero, lam.inverse()]], f))
         # build sigma_j(chi) numerically and compare root multisets
         import math
 

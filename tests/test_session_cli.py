@@ -56,6 +56,16 @@ def test_parse_session_errors():
         parse_session(json.dumps({"generators": {"Bad": [["1"]]}}))
 
 
+def test_parse_session_rejects_field_det_of_norm_one():
+    # det = 3 + 2 sqrt2 has norm 1, so the embedded 4x4 matrix has det 1;
+    # the generator is still not in SL_2(Q(sqrt2))
+    doc = {"field": ["-2", "0", "1"], "generators": {"g": [[["3", "2"], "0"], ["0", "1"]]}}
+    with pytest.raises(DeterminantNotOne) as exc:
+        parse_session(json.dumps(doc))
+    assert exc.value.name == "g"
+    assert str(exc.value.det) == "[3, 2]"
+
+
 def _run(args, session=SESSION, files=None):
     runner = CliRunner()
     with runner.isolated_filesystem():
