@@ -57,10 +57,10 @@ class ZeroConstantTerm(FlatcertError):
 class DeterminantNotOne(FlatcertError):
     module = "linalg"
 
-    def __init__(self, name=None, det=None):
+    def __init__(self, name=None, det=None, who=None):
         self.name = name
         self.det = det
-        who = f"generator {name!r}" if name else "matrix"
+        who = who or (f"generator {name!r}" if name else "matrix")
         super().__init__(f"{who} has determinant {det}, expected 1")
 
 

@@ -243,8 +243,8 @@ def factor_q(p: Poly) -> list[tuple[Poly, int]]:
     Backed by sympy's rational factorizer (squarefree split, modular
     factorization, Hensel lifting); factors are re-normalized to monic and
     ordered by (degree, coefficient tuple) so output is deterministic.
-    sympy is imported here, on first use, because it takes about a third
-    of a second to load and most commands never factor.
+    Only make_field and block_decompose factor.  sympy is imported here,
+    on first use, because it takes about a third of a second to load.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")

@@ -12,13 +12,14 @@ floating archimedean numbers are payload, never evidence.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
 from .exact.newton import newton_slopes
-from .exact.poly import Poly, cyclotomic, cyclotomic_index, factor_q
+from .exact.poly import Poly, cyclotomic
 from .exact.roots import complex_roots
 from .linalg import SqMatrix, charpoly, is_diagonalizable, order_bound
 
@@ -122,22 +123,38 @@ def _check_places_complete(m: SqMatrix, places: PlaceSet):
         raise PlaceSetIncomplete(missing)
 
 
-def _arch_drift(cp: Poly, tol: float) -> list[float]:
-    """Sorted log-moduli of the roots of cp.
+def _arch_drift(cp: Poly, primes: tuple[int, ...], tol: float) -> list[float]:
+    """Sorted log-moduli of the roots of cp, split exactly, without
+    factoring, before any float step.
 
-    Computed per irreducible factor so that cyclotomic factors contribute
-    exact 0.0 coordinates: a neutral direction must never pick up floating
-    fuzz, or the positive-definiteness tests downstream would see it as a
-    spurious ballistic direction.
+    Cyclotomic factors give exact 0.0 coordinates, so that no neutral
+    direction picks up floating fuzz.  A rational root of the charpoly of a
+    det-1 matrix over Z[1/S] is a unit u/v = +-prod p^k of that ring, k an
+    integer Newton slope at p, and gives log|u/v| exactly; x - u/v | c over
+    Z forces v - u | c(1) and v + u | c(-1), an integer screen run before
+    each exact division.  Aberth sees only the rest.
     """
-    bound = order_bound(cp.degree)
-    arch: list[float] = []
-    for q, e in factor_q(cp):
-        if cyclotomic_index(q, bound) is not None:
-            arch.extend([0.0] * (q.degree * e))
-            continue
-        for cluster in complex_roots(q, tol):
-            arch.extend([math.log(abs(cluster.value))] * (cluster.multiplicity * e))
+    c, _ = _cyclotomic_split(cp, order_bound(cp.degree))
+    arch = [0.0] * (cp.degree + 1 - len(c))
+    rest = Poly(c).monic()
+    nums, dens = [(1, -1)], [(1, 1)]  # sign, then one factor per prime
+    for p in primes:
+        ks = sorted({int(v) for v in newton_slopes(rest, p).valuations if v.denominator == 1})
+        nums.append([p**k if k > 0 else 1 for k in ks])
+        dens.append([p**-k if k < 0 else 1 for k in ks])
+    at1, at_minus1 = sum(c), sum(c[0::2]) - sum(c[1::2])
+    for us, vs in zip(itertools.product(*nums), itertools.product(*dens)):
+        if len(c) == 1:
+            break
+        u, v = math.prod(us), math.prod(vs)
+        while v != abs(u) and at1 % (v - u) == 0 and at_minus1 % (v + u) == 0:
+            if (q := _divide(c, [-u, v])) is None:
+                break
+            c, at1, at_minus1 = q, at1 // (v - u), at_minus1 // -(v + u)
+            arch.append(math.log(abs(u) / v))
+    if len(c) > 1:
+        for cluster in complex_roots(Poly(c), tol):
+            arch.extend([math.log(abs(cluster.value))] * cluster.multiplicity)
     arch.sort(reverse=True)
     return arch
 
@@ -153,7 +170,7 @@ def _charpoly_drift(
     result is immutable because every caller shares it.  Raised errors
     (ToleranceNotReached) are not cached.
     """
-    arch = tuple(_arch_drift(cp, tol))
+    arch = tuple(_arch_drift(cp, primes, tol))
     return arch, tuple((p, newton_slopes(cp, p).valuations) for p in primes)
 
 
@@ -167,40 +184,42 @@ def drift_profile(
     return DriftProfile(arch=arch, padic=dict(padic), label=label)
 
 
+def _cyclotomic_split(cp: Poly, bound: int) -> tuple[list[int], list[int]]:
+    """(c, ks): the primitive integer multiple of cp, lowest degree first,
+    with each Phi_k, k <= bound, divided out exactly while it divides, and
+    the k that divided.  The Phi_k are irreducible and pairwise coprime."""
+    den = math.lcm(*(x.denominator for x in cp.coeffs))
+    c = [int(x * den) for x in cp.coeffs]  # primitive, since cp is monic
+    ks = []
+    for k in range(1, bound + 1):
+        phi = [int(x) for x in cyclotomic(k).coeffs]
+        while len(phi) <= len(c) and (q := _divide(c, phi)) is not None:
+            c = q
+            ks.append(k)
+    return c, ks
+
+
 def _quasi_unipotent_order(cp: Poly, n: int) -> int | None:
     """lcm of the k whose cyclotomic polynomial divides cp, or None if cp is
-    not a product of cyclotomic polynomials.
-
-    Phi_k for k <= order_bound(n) are divided out exactly, on integer
-    coefficient lists, while they divide; since they are irreducible and
-    pairwise coprime, a constant cofactor means every irreducible factor
-    of cp is cyclotomic.  Valid only when cp has integer coefficients: by
-    Kronecker, a monic integer irreducible with all roots on the unit
-    circle is cyclotomic.
-    """
-    c = [int(x) for x in cp.coeffs]
-    k0 = 1
-    for k in range(1, order_bound(n) + 1):
-        phi = [int(x) for x in cyclotomic(k).coeffs]
-        divided = False
-        while len(phi) <= len(c):
-            q = _divide_monic(c, phi)
-            if q is None:
-                break
-            c, divided = q, True
-        if divided:
-            k0 = math.lcm(k0, k)
-    return k0 if len(c) == 1 else None
+    not a product of cyclotomic polynomials (no cofactor is left).  Valid
+    only when cp has integer coefficients: by Kronecker, a monic integer
+    irreducible with all roots on the unit circle is cyclotomic."""
+    c, ks = _cyclotomic_split(cp, order_bound(n))
+    return math.lcm(*ks) if len(c) == 1 else None
 
 
-def _divide_monic(c: list[int], d: list[int]) -> list[int] | None:
-    """c / d for a monic integer d (lowest degree first), or None when d
-    does not divide c."""
+def _divide(c: list[int], d: list[int]) -> list[int] | None:
+    """c / d for a primitive integer d (lowest degree first), or None when
+    d does not divide c.  By Gauss's lemma a primitive d that divides c
+    over Q divides it over Z, so a non-integral quotient digit means no."""
     r = list(c)
     m = len(d) - 1
     q = [0] * (len(r) - m)
     for i in range(len(r) - 1, m - 1, -1):
-        t = q[i - m] = r[i]
+        t, rem = divmod(r[i], d[m])
+        if rem:
+            return None
+        q[i - m] = t
         if t:
             for j in range(m + 1):
                 r[i - m + j] -= t * d[j]

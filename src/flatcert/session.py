@@ -164,8 +164,14 @@ def parse_graph(text: str) -> GraphRep:
     for t in tori_doc:
         _require_keys(t, ("id", "A", "B"), 'a torus object with "id", "A" and "B"')
         torus_id = _string(t["id"], "a torus id string")
-        a = embed_regular(parse_matrix(t["A"], field), field)
-        b = embed_regular(parse_matrix(t["B"], field), field)
+        basis = []
+        for key in ("A", "B"):
+            try:
+                basis.append(embed_regular(parse_matrix(t[key], field), field))
+            except DeterminantNotOne as e:
+                who = f"torus {torus_id!r} basis image {key}"
+                raise DeterminantNotOne(det=e.det, who=who) from None
+        a, b = basis
         if a.n != b.n:
             raise DimensionMismatch(f"torus {torus_id!r} basis image dimensions differ")
         tori.append(TorusRep(id=torus_id, a=a, b=b))

@@ -99,6 +99,18 @@ def test_field_determinant_error_bytes():
     )
 
 
+def test_graph_determinant_error_names_the_torus_basis():
+    tori = [
+        {"id": "T1", "A": [["1", "0"], ["0", "1"]], "B": [["1", "0"], ["0", "1"]]},
+        {"id": "T2", "A": [["1", "0"], ["0", "1"]], "B": [["2", "0"], ["0", "1"]]},
+    ]
+    res = _run(["graph", "doc.json"], json.dumps({"tori": tori, "gluings": []}))
+    assert res.exit_code == 1
+    assert res.stderr == _error_json(
+        "DeterminantNotOne", "linalg", "torus 'T2' basis image B has determinant 2, expected 1"
+    )
+
+
 def test_usage_error_exit_code_leaves_click_alone():
     # the CLI gives its own usage errors exit 1 without patching click's class
     assert click.exceptions.UsageError.exit_code == 2

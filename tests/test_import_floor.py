@@ -1,4 +1,5 @@
-"""sympy is loaded only by the commands that factor over Q at parse time.
+"""sympy is loaded only by number-field sessions and `decompose`, the
+commands that factor over Q.
 
 Importing sympy costs about a third of a second, paid by every CLI call if
 any module imports it at top level; each check runs in a fresh interpreter
@@ -32,3 +33,33 @@ def test_field_session_loads_sympy():
     doc = {"field": ["-2", "0", "1"], "generators": {"g": [["1", "0"], ["0", "1"]]}}
     code = f"from flatcert import parse_session\nparse_session({json.dumps(json.dumps(doc))})"
     assert _sympy_loaded_after(code)
+
+
+def _cli_loads_sympy(argv: list[str], expect: str) -> bool:
+    code = (
+        "from click.testing import CliRunner\n"
+        "from flatcert.cli import main\n"
+        f"res = CliRunner().invoke(main, {argv!r})\n"
+        f"assert {expect!r} in res.output, res.output"
+    )
+    return _sympy_loaded_after(code)
+
+
+def test_graph_over_q_does_not_load_sympy(tmp_path):
+    doc = {
+        "tori": [
+            {"id": "T1", "A": [["2", "0"], ["0", "1/2"]], "B": [["3", "0"], ["0", "1/3"]]},
+            {"id": "T2", "A": [["2", "1"], ["1", "1"]], "B": [["5", "3"], ["3", "2"]]},
+        ],
+        "gluings": [{"torus": "T1", "U": [[0, 1], [1, 0]], "secondBasisWords": ["b", "a"]}],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert not _cli_loads_sympy(["graph", str(path)], '"tag"')
+
+
+def test_ballistic_classify_over_q_does_not_load_sympy(tmp_path):
+    doc = {"generators": {"a": [["2", "1"], ["1", "1"]], "d": [["2", "0"], ["0", "1/2"]]}}
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc))
+    assert not _cli_loads_sympy(["-i", str(path), "classify", "a*d"], "Ballistic")

@@ -27,7 +27,7 @@ from flatcert import (
 from flatcert.cli import main
 from flatcert.flats import gram
 from flatcert.manifold import InvalidGraphRep, graph_certificate
-from flatcert.places import _charpoly_drift
+from flatcert.places import _arch_drift, _charpoly_drift
 from flatcert.session import parse_graph
 
 from conftest import congruence, gram_close, random_diag_23, unimodular, unimodular_2x2
@@ -213,16 +213,18 @@ def test_cli_graph_evaluates_each_second_basis_word_once(monkeypatch, tmp_path):
     assert sorted(args[0] for args in evaluated) == sorted(second_basis_words)
 
 
-def test_cli_graph_factors_each_charpoly_once(monkeypatch, tmp_path):
+def test_cli_graph_drifts_each_charpoly_once_without_factoring(monkeypatch, tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(GRAPH_DOC)
     factored = _count_calls(monkeypatch, factor_q)
+    drifts = _count_calls(monkeypatch, _arch_drift)
     _charpoly_drift.cache_clear()
     cold = CliRunner().invoke(main, ["graph", str(path)])
     warm = CliRunner().invoke(main, ["graph", str(path)])
     assert cold.exit_code == warm.exit_code == 2
     assert cold.stdout_bytes == warm.stdout_bytes
-    charpolys = [args[0] for args in factored]
+    assert factored == []
+    charpolys = [args[0] for args in drifts]
     assert charpolys and len(charpolys) == len(set(charpolys))
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,12 @@ from flatcert import (
     discover_places,
     drift_profile,
 )
-from flatcert.errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
-from flatcert.places import _quasi_unipotent_order
+from flatcert.errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete, ToleranceNotReached
+from flatcert.exact import complex_roots
+from flatcert.linalg import charpoly
+from flatcert.places import _arch_drift, _quasi_unipotent_order
 
-from conftest import det1_corpus, quasi_unipotent_order_factor, unimodular
+from conftest import arch_drift_factor, det1_corpus, quasi_unipotent_order_factor, unimodular
 
 # integer polynomials with no cyclotomic factor: x^2-3x+1 (golden ratio
 # squared), x^2+3x+1, x^3-x-1 (plastic number), x^4-x^3-x^2-x+1 (Salem)
@@ -52,6 +55,85 @@ def test_quasi_unipotent_order_examples():
     assert _quasi_unipotent_order(cyclotomic(2) ** 3 * cyclotomic(1), 4) == 2
     assert _quasi_unipotent_order(Poly([-1, 1]) ** 3, 3) == 1
     assert _quasi_unipotent_order(cyclotomic(3) * Poly([1, -3, 1]), 4) is None
+
+
+# -- the exact split of the archimedean drift, against factor_q ------------
+
+_CYCLOTOMIC = st.integers(1, 12).map(cyclotomic)
+_S_UNIT_ROOT = st.tuples(
+    st.sampled_from((1, -1)), st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2)
+).map(lambda s: Poly.x_minus(s[0] * F(2) ** s[1] * F(3) ** s[2] * F(5) ** s[3]))
+
+
+@st.composite
+def _split_products(draw, quadratics: int):
+    """(cp, quadratics): a product of powers of Phi_k (k <= 12), of x - r
+    with r = +-2^a 3^b 5^c, and of `quadratics` distinct x^2 - t x + 1 with
+    |t| >= 3, which are irreducible."""
+    traces = st.integers(3, 40).flatmap(lambda t: st.sampled_from((t, -t)))
+    ts = draw(st.lists(traces, min_size=quadratics, max_size=quadratics, unique=True))
+    factors = draw(st.lists(st.one_of(_CYCLOTOMIC, _S_UNIT_ROOT), max_size=5))
+    cp = Poly([1])
+    for f in factors + [Poly([1, -t, 1]) for t in ts]:
+        cp = cp * f ** draw(st.integers(1, 3))
+    return cp, quadratics
+
+
+def _drift_or_error(fn):
+    try:
+        return tuple(fn())
+    except ToleranceNotReached:
+        return "ToleranceNotReached"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 1).flatmap(_split_products))
+def test_arch_drift_matches_factor_oracle(case):
+    cp, quadratics = case
+    with mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth:
+        drift = _drift_or_error(lambda: _arch_drift(cp, (2, 3, 5), 1e-12))
+    assert drift == _drift_or_error(lambda: arch_drift_factor(cp, 1e-12))
+    # cyclotomic factors and S-unit roots never reach the float root finder
+    assert aberth.call_count == quadratics
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(_split_products))
+def test_arch_drift_sends_a_reducible_cofactor_to_aberth_whole(case):
+    """Without factoring, the cofactor left after the exact split reaches
+    complex_roots as one polynomial: the drift equals that oracle exactly.
+    Against the per-factor oracle it agrees to rounding, except that the
+    product can miss the absolute tolerance where each factor alone meets
+    it, because its larger coefficients lose more to float rounding."""
+    cp, _ = case
+    drift = _drift_or_error(lambda: _arch_drift(cp, (2, 3, 5), 1e-12))
+    assert drift == _drift_or_error(lambda: arch_drift_factor(cp, 1e-12, per_factor=False))
+    per_factor = _drift_or_error(lambda: arch_drift_factor(cp, 1e-12))
+    if "ToleranceNotReached" not in (drift, per_factor):
+        assert max(abs(a - b) for a, b in zip(drift, per_factor, strict=True)) < 1e-12
+
+
+def test_arch_drift_worst_case_candidate_search():
+    """Eight S-units over the primes 2..13, exponents in -3..3, and their
+    inverses, conjugated by a unimodular upper-triangular matrix: up to
+    2 * 7^6 candidate roots, almost all dismissed by the integer screen."""
+    rng = random.Random(16)
+    primes = (2, 3, 5, 7, 11, 13)
+    units = [
+        rng.choice((-1, 1)) * math.prod(F(p) ** rng.randint(-3, 3) for p in primes) for _ in range(8)
+    ]
+    n = 16
+    up = SqMatrix(
+        [[int(i == j) or (rng.choice((-1, 0, 1)) if j > i else 0) for j in range(n)] for i in range(n)]
+    )
+    m = up * SqMatrix.diagonal(units + [1 / u for u in units]) * up.inverse()
+    places = discover_places([m])
+    assert places.primes == primes
+    cp = charpoly(m)
+    with mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth:
+        arch = _arch_drift(cp, places.primes, 1e-12)
+    assert arch == arch_drift_factor(cp, 1e-12)
+    assert aberth.call_count == 0
 
 
 def test_discover_places_examples():
