@@ -243,8 +243,8 @@ def factor_q(p: Poly) -> list[tuple[Poly, int]]:
     Backed by sympy's rational factorizer (squarefree split, modular
     factorization, Hensel lifting); factors are re-normalized to monic and
     ordered by (degree, coefficient tuple) so output is deterministic.
-    Only make_field and block_decompose factor.  sympy is imported here,
-    on first use, because it takes about a third of a second to load.
+    make_field and block_decompose factor; the drift only rarely does.
+    sympy is imported here, on first use, as it takes a third of a second.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
 from .exact.newton import newton_slopes
-from .exact.poly import Poly, cyclotomic
+from .exact.poly import Poly, cyclotomic, factor_q, squarefree_decomposition
 from .exact.roots import complex_roots
 from .linalg import SqMatrix, charpoly, is_diagonalizable, order_bound
 
@@ -123,38 +123,39 @@ def _check_places_complete(m: SqMatrix, places: PlaceSet):
         raise PlaceSetIncomplete(missing)
 
 
-def _arch_drift(cp: Poly, primes: tuple[int, ...], tol: float) -> list[float]:
-    """Sorted log-moduli of the roots of cp, split exactly, without
-    factoring, before any float step.
+def _arch_drift(cp: Poly, padic: tuple, tol: float) -> list[float]:
+    """Sorted log-moduli of the roots of cp, taken per irreducible factor.
 
     Cyclotomic factors give exact 0.0 coordinates, so that no neutral
     direction picks up floating fuzz.  A rational root of the charpoly of a
     det-1 matrix over Z[1/S] is a unit u/v = +-prod p^k of that ring, k an
-    integer Newton slope at p, and gives log|u/v| exactly; x - u/v | c over
-    Z forces v - u | c(1) and v + u | c(-1), an integer screen run before
-    each exact division.  Aberth sees only the rest.
+    integer slope in padic = ((p, valuations), ...); x - u/v | c over Z
+    forces v - u | c(1) and v + u | c(-1), screened before each division.
+    Free of rational roots, a squarefree part of degree <= 3 is irreducible.
     """
     c, _ = _cyclotomic_split(cp, order_bound(cp.degree))
     arch = [0.0] * (cp.degree + 1 - len(c))
-    rest = Poly(c).monic()
-    nums, dens = [(1, -1)], [(1, 1)]  # sign, then one factor per prime
-    for p in primes:
-        ks = sorted({int(v) for v in newton_slopes(rest, p).valuations if v.denominator == 1})
-        nums.append([p**k if k > 0 else 1 for k in ks])
-        dens.append([p**-k if k < 0 else 1 for k in ks])
+    slopes = [(p, {int(v) for v in vals if v.denominator == 1}) for p, vals in padic]
+    # some 0.15 us a candidate; past 2^14 of them per degree, factoring is cheaper
+    searched = 2 * math.prod(len(ks) for _, ks in slopes) <= 2**14 * cp.degree
+    halves = [[(1, 1), (-1, 1)], [(1, 1)]]  # u/v = u1 u2 / v1 v2, one (u, v) from each
+    for (p, ks), h in zip(slopes if searched else (), itertools.cycle(halves)):
+        h[:] = [(u * p**k, v) if k >= 0 else (u, v * p**-k) for u, v in h for k in ks]
     at1, at_minus1 = sum(c), sum(c[0::2]) - sum(c[1::2])
-    for us, vs in zip(itertools.product(*nums), itertools.product(*dens)):
+    for (u1, v1), (u2, v2) in itertools.product(*halves):
         if len(c) == 1:
             break
-        u, v = math.prod(us), math.prod(vs)
+        u, v = u1 * u2, v1 * v2
         while v != abs(u) and at1 % (v - u) == 0 and at_minus1 % (v + u) == 0:
             if (q := _divide(c, [-u, v])) is None:
                 break
             c, at1, at_minus1 = q, at1 // (v - u), at_minus1 // -(v + u)
             arch.append(math.log(abs(u) / v))
-    if len(c) > 1:
-        for cluster in complex_roots(Poly(c), tol):
-            arch.extend([math.log(abs(cluster.value))] * cluster.multiplicity)
+    rest = Poly(c)
+    whole = searched and all(q.degree <= 3 for q, _ in squarefree_decomposition(rest))
+    for q, e in ([(rest, 1)] if whole else factor_q(rest)) if rest.degree else ():
+        for cluster in complex_roots(q, tol):
+            arch.extend([math.log(abs(cluster.value))] * (cluster.multiplicity * e))
     arch.sort(reverse=True)
     return arch
 
@@ -170,8 +171,8 @@ def _charpoly_drift(
     result is immutable because every caller shares it.  Raised errors
     (ToleranceNotReached) are not cached.
     """
-    arch = tuple(_arch_drift(cp, primes, tol))
-    return arch, tuple((p, newton_slopes(cp, p).valuations) for p in primes)
+    padic = tuple((p, newton_slopes(cp, p).valuations) for p in primes)
+    return tuple(_arch_drift(cp, padic, tol)), padic
 
 
 def drift_profile(
@@ -200,10 +201,9 @@ def _cyclotomic_split(cp: Poly, bound: int) -> tuple[list[int], list[int]]:
 
 
 def _quasi_unipotent_order(cp: Poly, n: int) -> int | None:
-    """lcm of the k whose cyclotomic polynomial divides cp, or None if cp is
-    not a product of cyclotomic polynomials (no cofactor is left).  Valid
-    only when cp has integer coefficients: by Kronecker, a monic integer
-    irreducible with all roots on the unit circle is cyclotomic."""
+    """lcm of the k with Phi_k | cp, or None if cp is not a product of
+    cyclotomic polynomials.  Valid only for integer cp: by Kronecker, a
+    monic integer irreducible with all roots on the unit circle is cyclotomic."""
     c, ks = _cyclotomic_split(cp, order_bound(n))
     return math.lcm(*ks) if len(c) == 1 else None
 

@@ -200,25 +200,18 @@ def quasi_unipotent_order_factor(cp: Poly, n: int) -> int | None:
 # -- archimedean drift oracle, by factorization over Q ---------------------
 
 
-def arch_drift_factor(cp: Poly, tol: float, per_factor: bool = True) -> list[float]:
+def arch_drift_factor(cp: Poly, tol: float) -> list[float]:
     """Sorted log-moduli of the roots of cp, split by factor_q: cyclotomic
     factors give exact 0.0 coordinates and the others go to complex_roots
-    one factor at a time.  With per_factor False, the factors of degree at
-    least 2 go to complex_roots as one product instead."""
+    one factor at a time."""
     bound = order_bound(cp.degree)
     arch: list[float] = []
-    rest = Poly([1])
     for q, e in factor_q(cp):
         if cyclotomic_index(q, bound) is not None:
             arch.extend([0.0] * (q.degree * e))
-        elif per_factor or q.degree == 1:
-            for cluster in complex_roots(q, tol):
-                arch.extend([math.log(abs(cluster.value))] * (cluster.multiplicity * e))
-        else:
-            rest = rest * q**e
-    if rest.degree > 0:
-        for cluster in complex_roots(rest, tol):
-            arch.extend([math.log(abs(cluster.value))] * cluster.multiplicity)
+            continue
+        for cluster in complex_roots(q, tol):
+            arch.extend([math.log(abs(cluster.value))] * (cluster.multiplicity * e))
     arch.sort(reverse=True)
     return arch
 

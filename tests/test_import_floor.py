@@ -1,5 +1,6 @@
-"""sympy is loaded only by number-field sessions and `decompose`, the
-commands that factor over Q.
+"""sympy is loaded only where something factors over Q: number-field
+sessions, `decompose`, and the rare drift over Q of a characteristic
+polynomial with an irrational squarefree part of degree 4 or more.
 
 Importing sympy costs about a third of a second, paid by every CLI call if
 any module imports it at top level; each check runs in a fresh interpreter

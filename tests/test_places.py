@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -20,7 +21,7 @@ from flatcert import (
     drift_profile,
 )
 from flatcert.errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete, ToleranceNotReached
-from flatcert.exact import complex_roots
+from flatcert.exact import complex_roots, factor_q, newton_slopes
 from flatcert.linalg import charpoly
 from flatcert.places import _arch_drift, _quasi_unipotent_order
 
@@ -66,17 +67,21 @@ _S_UNIT_ROOT = st.tuples(
 
 
 @st.composite
-def _split_products(draw, quadratics: int):
+def _split_products(draw):
     """(cp, quadratics): a product of powers of Phi_k (k <= 12), of x - r
-    with r = +-2^a 3^b 5^c, and of `quadratics` distinct x^2 - t x + 1 with
+    with r = +-2^a 3^b 5^c, and of 0 to 3 distinct x^2 - t x + 1 with
     |t| >= 3, which are irreducible."""
     traces = st.integers(3, 40).flatmap(lambda t: st.sampled_from((t, -t)))
-    ts = draw(st.lists(traces, min_size=quadratics, max_size=quadratics, unique=True))
+    ts = draw(st.lists(traces, max_size=3, unique=True))
     factors = draw(st.lists(st.one_of(_CYCLOTOMIC, _S_UNIT_ROOT), max_size=5))
     cp = Poly([1])
     for f in factors + [Poly([1, -t, 1]) for t in ts]:
         cp = cp * f ** draw(st.integers(1, 3))
-    return cp, quadratics
+    return cp, len(ts)
+
+
+def _padic(cp: Poly, primes: tuple[int, ...]) -> tuple:
+    return tuple((p, newton_slopes(cp, p).valuations) for p in primes)
 
 
 def _drift_or_error(fn):
@@ -86,54 +91,88 @@ def _drift_or_error(fn):
         return "ToleranceNotReached"
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 1).flatmap(_split_products))
+@settings(max_examples=200, deadline=None)
+@given(_split_products())
 def test_arch_drift_matches_factor_oracle(case):
     cp, quadratics = case
-    with mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth:
-        drift = _drift_or_error(lambda: _arch_drift(cp, (2, 3, 5), 1e-12))
+    with (
+        mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
+        mock.patch("flatcert.places.factor_q", wraps=factor_q) as factor,
+    ):
+        drift = _drift_or_error(lambda: _arch_drift(cp, _padic(cp, (2, 3, 5)), 1e-12))
     assert drift == _drift_or_error(lambda: arch_drift_factor(cp, 1e-12))
-    # cyclotomic factors and S-unit roots never reach the float root finder
-    assert aberth.call_count == quadratics
+    # cyclotomic factors and S-unit roots never reach the float root finder,
+    # and a single quadratic, at any power, is not factored
+    assert (aberth.call_count > 0) == (quadratics > 0)
+    assert factor.call_count == 0 or quadratics > 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 3).flatmap(_split_products))
-def test_arch_drift_sends_a_reducible_cofactor_to_aberth_whole(case):
-    """Without factoring, the cofactor left after the exact split reaches
-    complex_roots as one polynomial: the drift equals that oracle exactly.
-    Against the per-factor oracle it agrees to rounding, except that the
-    product can miss the absolute tolerance where each factor alone meets
-    it, because its larger coefficients lose more to float rounding."""
-    cp, _ = case
-    drift = _drift_or_error(lambda: _arch_drift(cp, (2, 3, 5), 1e-12))
-    assert drift == _drift_or_error(lambda: arch_drift_factor(cp, 1e-12, per_factor=False))
-    per_factor = _drift_or_error(lambda: arch_drift_factor(cp, 1e-12))
-    if "ToleranceNotReached" not in (drift, per_factor):
-        assert max(abs(a - b) for a, b in zip(drift, per_factor, strict=True)) < 1e-12
-
-
-def test_arch_drift_worst_case_candidate_search():
-    """Eight S-units over the primes 2..13, exponents in -3..3, and their
-    inverses, conjugated by a unimodular upper-triangular matrix: up to
-    2 * 7^6 candidate roots, almost all dismissed by the integer screen."""
-    rng = random.Random(16)
-    primes = (2, 3, 5, 7, 11, 13)
+def _conjugated_s_units(seed: int, primes: tuple[int, ...], block: list[list[int]]) -> SqMatrix:
+    """diag(8 S-units over primes, exponents in -3..3, their inverses, block),
+    conjugated by a unimodular upper-triangular matrix."""
+    rng = random.Random(seed)
     units = [
         rng.choice((-1, 1)) * math.prod(F(p) ** rng.randint(-3, 3) for p in primes) for _ in range(8)
     ]
-    n = 16
+    diagonal = units + [1 / u for u in units]
+    n = len(diagonal) + len(block)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i, u in enumerate(diagonal):
+        rows[i][i] = u
+    for i, row in enumerate(block):
+        rows[len(diagonal) + i][len(diagonal) :] = row
     up = SqMatrix(
         [[int(i == j) or (rng.choice((-1, 0, 1)) if j > i else 0) for j in range(n)] for i in range(n)]
     )
-    m = up * SqMatrix.diagonal(units + [1 / u for u in units]) * up.inverse()
+    return up * SqMatrix(rows) * up.inverse()
+
+
+@pytest.mark.parametrize(
+    "primes, block, factor_calls, aberth_calls",
+    [
+        # 2 * 7^6 candidates, inside the search budget: searched to the last root
+        ((2, 3, 5, 7, 11, 13), [], 0, 0),
+        # the same with an irreducible cofactor, so searched to exhaustion
+        ((2, 3, 5, 7, 11, 13), [[2, 1], [1, 1]], 0, 1),
+        # some 2 * 7^9 candidates, over budget: factored, with no search
+        ((2, 3, 5, 7, 11, 13, 17, 19, 23), [[2, 1], [1, 1]], 1, 17),
+    ],
+    ids=["rational", "irreducible-cofactor", "over-budget"],
+)
+def test_arch_drift_candidate_search_is_bounded(primes, block, factor_calls, aberth_calls):
+    m = _conjugated_s_units(16, primes, block)
     places = discover_places([m])
     assert places.primes == primes
     cp = charpoly(m)
-    with mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth:
-        arch = _arch_drift(cp, places.primes, 1e-12)
+    padic = _padic(cp, primes)
+    with (
+        mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
+        mock.patch("flatcert.places.factor_q", wraps=factor_q) as factor,
+    ):
+        start = time.perf_counter()
+        arch = _arch_drift(cp, padic, 1e-12)
+        elapsed = time.perf_counter() - start
     assert arch == arch_drift_factor(cp, 1e-12)
-    assert aberth.call_count == 0
+    assert (factor.call_count, aberth.call_count) == (factor_calls, aberth_calls)
+    # well inside the worker's 5 s deadline, sympy's first import included
+    assert elapsed < 3.0
+
+
+def test_arch_drift_factors_a_cofactor_over_budget():
+    """u = the product of the first 15 primes: diag(u, 1/u) gives 2 * 2^15
+    candidates, over the budget of 2^14 per degree, so its cofactor
+    (x - u)(x - 1/u), squarefree of degree 2 but reducible, is factored
+    rather than sent to Aberth whole."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    u = math.prod(primes)
+    cp = Poly.x_minus(u) * Poly.x_minus(F(1, u))
+    with (
+        mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
+        mock.patch("flatcert.places.factor_q", wraps=factor_q) as factor,
+    ):
+        arch = _arch_drift(cp, _padic(cp, primes), 1e-12)
+    assert arch == arch_drift_factor(cp, 1e-12)
+    assert (factor.call_count, aberth.call_count) == (1, 2)
 
 
 def test_discover_places_examples():
