@@ -8,6 +8,7 @@ as exact strings.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -41,8 +42,7 @@ class Options:
     def session(self):
         if not self.input_path:
             raise click.UsageError("this command needs a session file: --input FILE")
-        with open(self.input_path, "r", encoding="utf-8") as fh:
-            return parse_session(fh.read())
+        return parse_session(_read(self.input_path))
 
     def emit(self, report: dict, code: int = 0):
         text = render_json(report) if self.as_json else render_text(report)
@@ -65,9 +65,25 @@ class Options:
         sys.exit(1)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        # read() decodes the whole file in one call, so e.start is a file offset
+        raise errors.ParseError(e.start, "UTF-8 text", e.object[e.start : e.end]) from None
+
+
+def _positive(ctx, param, value: float) -> float:
+    if not 0 < value < math.inf:
+        raise click.BadParameter(f"{value!r} is not a finite float > 0.")
+    return value
+
+
 class _Main(click.Group):
     """Usage errors exit 1: exit code 2 is reserved for obstruction and
-    degenerate certificates.  Set per error, so click stays untouched."""
+    degenerate certificates.  Set per error, so click stays untouched.
+    A FlatcertError from any command is reported once, by Options.fail."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -82,15 +98,17 @@ class _Main(click.Group):
         except click.UsageError as e:
             e.exit_code = 1
             raise
+        except errors.FlatcertError as e:
+            ctx.obj.fail(e)
 
 
 @click.group(cls=_Main)
-@click.option("--input", "-i", "input_path", type=click.Path(), default=None,
+@click.option("--input", "-i", "input_path", type=click.Path(exists=True, dir_okay=False),
               help="Session JSON file with named det-1 generators.")
-@click.option("--tolerance", type=float, default=1e-12, show_default=True,
+@click.option("--tolerance", type=float, default=1e-12, show_default=True, callback=_positive,
               help="Root-isolation tolerance for archimedean drift.")
-@click.option("--pd-epsilon", type=float, default=1e-8, show_default=True,
-              help="Relative eigenvalue threshold for positive definiteness.")
+@click.option("--pd-epsilon", type=float, default=1e-8, show_default=True, callback=_positive,
+              help="Lattice iff the least Gram eigenvalue exceeds this times the trace.")
 @click.option("--json/--text", "as_json", default=True,
               help="Report format (default JSON).")
 @click.pass_context
@@ -104,11 +122,8 @@ def main(ctx, input_path, tolerance, pd_epsilon, as_json):
 @click.pass_obj
 def places(opts: Options):
     """Discovered places of the session's generator family."""
-    try:
-        spec = opts.session()
-        opts.emit(places_dict(spec.places))
-    except errors.FlatcertError as e:
-        opts.fail(e)
+    spec = opts.session()
+    opts.emit(places_dict(spec.places))
 
 
 @main.command()
@@ -117,20 +132,17 @@ def places(opts: Options):
 @click.pass_obj
 def classify(opts: Options, word, direction):
     """Classify the element given by WORD in the session generators."""
-    try:
-        spec = opts.session()
-        expr = parse_word(word)
-        m = word_eval(expr, spec.embedded)
-        cls = classify_element(m, spec.places, label=word, tol=opts.tolerance)
-        profile = drift_profile(m, spec.places, label=word, tol=opts.tolerance)
-        report = {"word": word, **classification_dict(cls), **profile_dict(profile)}
-        if direction:
-            report["direction"] = direction_dict(
-                direction_profile(m, spec.places, label=word, tol=opts.tolerance)
-            )
-        opts.emit(report)
-    except errors.FlatcertError as e:
-        opts.fail(e)
+    spec = opts.session()
+    expr = parse_word(word)
+    m = word_eval(expr, spec.embedded)
+    cls = classify_element(m, spec.places, label=word, tol=opts.tolerance)
+    profile = drift_profile(m, spec.places, label=word, tol=opts.tolerance)
+    report = {"word": word, **classification_dict(cls), **profile_dict(profile)}
+    if direction:
+        report["direction"] = direction_dict(
+            direction_profile(m, spec.places, label=word, tol=opts.tolerance)
+        )
+    opts.emit(report)
 
 
 @main.command()
@@ -138,33 +150,24 @@ def classify(opts: Options, word, direction):
 @click.pass_obj
 def decompose(opts: Options, names):
     """Simultaneous block decomposition of the named commuting generators."""
-    try:
-        spec = opts.session()
-        gens = []
-        for n in names:
-            if n not in spec.embedded:
-                raise errors.UnknownGenerator(n)
-            gens.append((n, spec.embedded[n]))
-        d = block_decompose(gens)
-        report = {
-            "conjugator": _matrix_dict(d.conjugator),
-            "blocks": [
-                {
-                    "size": size,
-                    "charpolys": {
-                        name: [fraction_str(c) for c in cp.coeffs]
-                        for name, cp in zip(names, d.block_charpolys[k])
-                    },
-                    "matrices": {
-                        name: _matrix_dict(mat) for name, mat in zip(names, mats)
-                    },
-                }
-                for k, (size, mats) in enumerate(d.blocks)
-            ],
-        }
-        opts.emit(report)
-    except errors.FlatcertError as e:
-        opts.fail(e)
+    d = block_decompose(_named(opts.session(), names))
+    report = {
+        "conjugator": _matrix_dict(d.conjugator),
+        "blocks": [
+            {
+                "size": size,
+                "charpolys": {
+                    name: [fraction_str(c) for c in cp.coeffs]
+                    for name, cp in zip(names, d.block_charpolys[k])
+                },
+                "matrices": {
+                    name: _matrix_dict(mat) for name, mat in zip(names, mats)
+                },
+            }
+            for k, (size, mats) in enumerate(d.blocks)
+        ],
+    }
+    opts.emit(report)
 
 
 @main.command()
@@ -172,18 +175,10 @@ def decompose(opts: Options, names):
 @click.pass_obj
 def flat(opts: Options, names):
     """Thick-flat lattice certificate for the named commuting generators."""
-    try:
-        spec = opts.session()
-        gens = []
-        for n in names:
-            if n not in spec.embedded:
-                raise errors.UnknownGenerator(n)
-            gens.append((n, spec.embedded[n]))
-        family = CommutingFamily.build(gens, places=spec.places)
-        cert = flat_certificate(family, opts.pd_epsilon, tol=opts.tolerance)
-        opts.emit(flat_dict(cert), code=0 if cert.tag == "Lattice" else 2)
-    except errors.FlatcertError as e:
-        opts.fail(e)
+    spec = opts.session()
+    family = CommutingFamily.build(_named(spec, names), places=spec.places)
+    cert = flat_certificate(family, opts.pd_epsilon, tol=opts.tolerance)
+    opts.emit(flat_dict(cert), code=0 if cert.tag == "Lattice" else 2)
 
 
 @main.command()
@@ -192,28 +187,31 @@ def flat(opts: Options, names):
 def graph(opts: Options, file):
     """NPC certificate or unipotent obstruction for a graph-manifold
     representation file."""
+    rep = parse_graph(_read(file))
     try:
-        with open(file, "r", encoding="utf-8") as fh:
-            rep = parse_graph(fh.read())
-        try:
-            result, reports = graph_certificate(rep, opts.pd_epsilon, tol=opts.tolerance)
-        except InvalidGraphRep as e:
-            opts.emit(
-                {
-                    "tag": "Invalid",
-                    "violations": [
-                        {"torus": v.torus, "kind": v.kind, "detail": v.detail}
-                        for v in e.violations
-                    ],
-                },
-                code=1,
-            )
+        result, reports = graph_certificate(rep, opts.pd_epsilon, tol=opts.tolerance)
+    except InvalidGraphRep as e:
         opts.emit(
-            npc_dict(result, reports),
-            code=0 if result.tag == "NPC" else 2,
+            {
+                "tag": "Invalid",
+                "violations": [
+                    {"torus": v.torus, "kind": v.kind, "detail": v.detail}
+                    for v in e.violations
+                ],
+            },
+            code=1,
         )
-    except errors.FlatcertError as e:
-        opts.fail(e)
+    opts.emit(
+        npc_dict(result, reports),
+        code=0 if result.tag == "NPC" else 2,
+    )
+
+
+def _named(spec, names) -> list:
+    unknown = [n for n in names if n not in spec.embedded]
+    if unknown:
+        raise errors.UnknownGenerator(unknown[0])
+    return [(n, spec.embedded[n]) for n in names]
 
 
 def _matrix_dict(m) -> list[list[str]]:

@@ -4,10 +4,10 @@ The Gram matrix of translation vectors is assembled by polarization,
 <g,h> = (Q(gh) - Q(gh^-1))/4, which is valid for commuting matrices
 because they are simultaneously triangularizable, making drift additive
 under the joint eigenvalue indexing.  The non-archimedean part is exact;
-positive definiteness is decided on the floating combined Gram but only
-certified together with an exact rational PSD check, and every degenerate
-direction is confirmed by classifying an explicit witness word, so no
-certificate ever rests on floating point alone.
+positive definiteness is decided exactly, by integer elimination, on the
+float combined Gram but only certified together with an exact PSD check,
+and every degenerate direction is confirmed by classifying an explicit
+witness word, so no certificate ever rests on floating point alone.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DeterminantNotOne, NotBallistic, NotCommuting, NumericalInconclusive
 from .linalg import SqMatrix, kernel_basis
@@ -114,11 +112,9 @@ class GramData:
     def rank(self) -> int:
         return len(self.nonarch)
 
-    def combined(self) -> np.ndarray:
-        r = self.rank
-        return np.array(
-            [[float(self.nonarch[i][j]) + self.arch[i][j] for j in range(r)] for i in range(r)],
-            dtype=float,
+    def combined(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(
+            tuple(float(x) + y for x, y in zip(na, a)) for na, a in zip(self.nonarch, self.arch)
         )
 
 
@@ -144,25 +140,32 @@ def gram(family: CommutingFamily, *, tol: float = 1e-12) -> GramData:
     )
 
 
-def _psd_exact(rows: tuple[tuple[Fraction, ...], ...]) -> bool:
-    """Exact PSD test by rational LDL^T (Schur complement recursion)."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    for k in range(n):
-        d = a[k][k]
-        if d < 0:
-            return False
-        if d == 0:
-            if any(a[k][j] != 0 for j in range(k + 1, n)):
-                return False
-            continue
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / d
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return True
+def _integer_form(rows) -> tuple[list[list[int]], int]:
+    """(d * rows, d) for the least d > 0 that makes it an integer matrix;
+    exact, as each float or Fraction entry is a ratio p/q of integers."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in ratios], d
+
+
+def _pivots(a: list[list[int]]) -> list[int] | None:
+    """Fraction-free symmetric (Bareiss) elimination: the leading principal
+    minors of an integer matrix, or None when it is not PSD.  A zero pivot
+    whose row is zero gives 0, and its row and column drop out of the later
+    minors."""
+    a = [list(row) for row in a]
+    pivots, prev = [], 1
+    for k, row in enumerate(a):
+        p = row[k]
+        if p < 0 or (p == 0 and any(row[k + 1:])):
+            return None
+        pivots.append(p)
+        if p:
+            for i in range(k + 1, len(a)):
+                for j in range(k + 1, len(a)):
+                    a[i][j] = (p * a[i][j] - a[i][k] * row[j]) // prev
+            prev = p
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -198,58 +201,71 @@ def _primitive(vec: list[Fraction]) -> tuple[int, ...] | None:
     return tuple(ints)
 
 
-def _rationalize(vec: np.ndarray, max_denominator: int = 10**6) -> tuple[int, ...] | None:
-    scale = max(abs(float(x)) for x in vec)
+def _rationalize(vec: tuple[float, ...], max_denominator: int = 10**6) -> tuple[int, ...] | None:
+    scale = max(abs(x) for x in vec)
     if scale == 0:
         return None
-    fr = [Fraction(float(x) / scale).limit_denominator(max_denominator) for x in vec]
+    fr = [Fraction(x / scale).limit_denominator(max_denominator) for x in vec]
     return _primitive(fr)
 
 
+def _lattice_covolume(combined, shift: float) -> float | None:
+    """sqrt(det) of a float Gram whose smallest eigenvalue exceeds shift,
+    else None; exact on the float entries, by Sylvester's criterion."""
+    a, d = _integer_form(combined)
+    sn, sd = shift.as_integer_ratio()
+    # sd * d * (Gram - shift * I) is an integer matrix
+    shifted = [[sd * x - sn * d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    pivots = _pivots(shifted)
+    if pivots is None or not all(pivots):
+        return None
+    return math.sqrt(_pivots(a)[-1] / d ** len(a))
+
+
 def _independent_over_q(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Greedy maximal Q-independent subset, preserving order."""
-    chosen: list[tuple[int, ...]] = []
-    rows: list[list[Fraction]] = []
-    for v in vectors:
-        cand = rows + [[Fraction(x) for x in v]]
-        if _rank(cand) > len(rows):
-            rows = cand
-            chosen.append(v)
-    return chosen
+    """Greedy maximal Q-independent subset, preserving order: a vector is
+    kept iff its pivot in the integer Gram of all the vectors is nonzero."""
+    dots = [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
+    return [v for v, p in zip(vectors, _pivots(dots)) if p]
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    a = [list(r) for r in rows]
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for r in range(rank + 1, n_rows):
-            if a[r][col] != 0:
-                f = a[r][col] / a[rank][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+def _eigh(g) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Ascending eigenvalues and unit eigenvectors of a small symmetric
+    float matrix, by cyclic Jacobi rotations."""
+    n = len(g)
+    a = [list(row) for row in g]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    tiny = 2.0**-60 * math.sqrt(sum(x * x for row in a for x in row))
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(64):
+        if all(abs(a[p][q]) <= tiny for p, q in pairs):
+            break
+        for p, q in pairs:
+            # the inner rotation angle, |phi| <= pi/4, that zeroes a[p][q]
+            d = a[q][q] - a[p][p]
+            phi = 0.5 * math.atan2(math.copysign(2.0, d) * a[p][q], abs(d))
+            c, s = math.cos(phi), math.sin(phi)
+            rp, rq = a[p], a[q]
+            a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+            a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+            for row in a + v:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p][q] = a[q][p] = 0.0
+    order = sorted(range(n), key=lambda k: a[k][k])
+    return [a[k][k] for k in order], [tuple(row[k] for row in v) for k in order]
 
 
 def _null_candidates(
-    g: GramData, combined: np.ndarray, threshold: float
+    g: GramData, combined: tuple[tuple[float, ...], ...], threshold: float
 ) -> list[tuple[int, ...]]:
     """Primitive integer candidates for null vectors of the combined Gram,
     ordered by (max-norm, lexicographic)."""
     r = g.rank
-    eigvals, eigvecs = np.linalg.eigh(combined)
+    eigvals, eigvecs = _eigh(combined)
     basis: list[tuple[int, ...]] = []
     for k in range(r):
         if eigvals[k] <= threshold:
-            v = _rationalize(eigvecs[:, k])
+            v = _rationalize(eigvecs[k])
             if v is not None and v not in basis:
                 basis.append(v)
     # exact null vectors of the non-archimedean part are candidates too
@@ -276,8 +292,8 @@ def _null_candidates(
         gv = [sum(g.nonarch[i][j] * v[j] for j in range(r)) for i in range(r)]
         if any(x != 0 for x in gv):
             continue
-        resid = combined @ np.array(v, dtype=float)
-        if np.max(np.abs(resid)) > math.sqrt(threshold + 1e-300) * (1.0 + np.max(np.abs(v))):
+        resid = max(abs(sum(x * y for x, y in zip(row, v))) for row in combined)
+        if resid > math.sqrt(threshold + 1e-300) * (1.0 + max(abs(x) for x in v)):
             continue
         screened.append(v)
     # smallest max-norm first, then fewest nonzero coordinates, then weight
@@ -300,24 +316,21 @@ def flat_certificate(
     family.
 
     Lattice requires the floating combined Gram to be positive definite
-    (smallest eigenvalue > pd_epsilon * trace) AND the exact non-archimedean
-    part to be PSD; a float/exact disagreement raises NumericalInconclusive.
+    (smallest eigenvalue > pd_epsilon * trace, decided exactly) AND the exact
+    non-archimedean part to be PSD; a disagreement raises NumericalInconclusive.
     Degenerate directions are only reported when an explicit witness word
     classifies non-ballistic, which is an exact decision.
     """
     g = gram(family, tol=tol)
     r = g.rank
     combined = g.combined()
-    trace = float(np.trace(combined))
-    eigvals = np.linalg.eigvalsh(combined)
-    min_eig = float(eigvals[0])
-    nonarch_psd = _psd_exact(g.nonarch)
-    if trace > 0 and min_eig > pd_epsilon * trace:
-        if not nonarch_psd:
+    trace = sum(row[i] for i, row in enumerate(combined))
+    covolume = _lattice_covolume(combined, pd_epsilon * trace) if trace > 0 else None
+    if covolume is not None:
+        if _pivots(_integer_form(g.nonarch)[0]) is None:
             raise NumericalInconclusive(
                 "floating Gram is positive definite but the exact non-archimedean part is not PSD"
             )
-        covolume = math.sqrt(max(float(np.linalg.det(combined)), 0.0))
         return FlatCertificate(tag="Lattice", rank=r, covolume=covolume)
 
     threshold = pd_epsilon * max(trace, 0.0)

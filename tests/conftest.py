@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
+
 from flatcert import Poly, SqMatrix, factor_q
 from flatcert.exact import complex_roots, cyclotomic_index
 from flatcert.linalg import order_bound
@@ -246,3 +248,25 @@ def gram_close(second, transported_nonarch, transported_arch) -> tuple[bool, flo
             scale = max(1.0, abs(a), abs(b))
             worst = max(worst, abs(a - b) / scale)
     return exact, worst
+
+
+# -- numpy oracle for the Gram decisions of flats ----------------------------
+# Reference float decisions by eigvalsh, det and eigh, which the exact integer
+# eliminations and the Jacobi eigensolver of flats are checked against; numpy
+# is a test dependency only.
+
+
+def numpy_lattice_decision(combined, pd_epsilon: float) -> tuple[bool, float, float, float]:
+    """(Lattice?, smallest eigenvalue, trace, covolume) by eigvalsh, trace
+    and sqrt(det) of the float combined Gram."""
+    g = np.array(combined, dtype=float)
+    trace = float(np.trace(g))
+    min_eig = float(np.linalg.eigvalsh(g)[0])
+    covolume = math.sqrt(max(float(np.linalg.det(g)), 0.0))
+    return trace > 0 and min_eig > pd_epsilon * trace, min_eig, trace, covolume
+
+
+def numpy_eigh(combined) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Ascending eigenvalues and unit eigenvectors, as tuples, by eigh."""
+    w, v = np.linalg.eigh(np.array(combined, dtype=float))
+    return [float(x) for x in w], [tuple(float(x) for x in v[:, k]) for k in range(len(w))]

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 from contextlib import redirect_stderr
+from pathlib import Path
 from fractions import Fraction
 
 import click
@@ -126,6 +127,78 @@ def test_usage_error_exit_code_leaves_click_alone():
     res = CliRunner().invoke(main, ["--tolerance", "x", "places"])
     assert res.exit_code == 1
     assert res.stderr.endswith("Error: Invalid value for '--tolerance': 'x' is not a valid float.\n")
+
+
+# -- bad flag values and unreadable inputs -----------------------------------
+
+FLAG_SESSION = json.dumps(
+    {
+        "generators": {
+            "a": [["2", "1"], ["1", "1"]],
+            "d": [["2", "0"], ["0", "1/2"]],
+            "e": [["1", "0"], ["0", "1"]],
+        }
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "flag, value, command",
+    [
+        ("--tolerance", "0", ["classify", "a"]),  # was a ValueError traceback
+        ("--tolerance", "-1", ["classify", "a"]),  # was a ValueError traceback
+        ("--tolerance", "nan", ["classify", "a"]),  # was ToleranceNotReached
+        ("--tolerance", "inf", ["classify", "a"]),
+        ("--pd-epsilon", "-1", ["flat", "d", "e"]),  # was Lattice of covolume 0
+        ("--pd-epsilon", "0", ["flat", "a", "a"]),  # was Lattice of covolume 2.87e-8
+        ("--pd-epsilon", "nan", ["flat", "d", "e"]),
+        ("--pd-epsilon", "inf", ["flat", "d", "e"]),
+    ],
+)
+def test_tolerance_and_pd_epsilon_must_be_finite_and_positive(flag, value, command):
+    res = _run([flag, value, "-i", "doc.json", *command], FLAG_SESSION)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.endswith(
+        f"Error: Invalid value for '{flag}': {float(value)!r} is not a finite float > 0.\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "path, reason", [("missing.json", "does not exist"), ("folder", "is a directory")]
+)
+def test_unreadable_session_path_is_a_usage_error(path, reason):
+    # the same click error that `graph FILE` gives, instead of an OSError traceback
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("folder").mkdir()
+        session = runner.invoke(main, ["-i", path, "places"], catch_exceptions=False)
+        graph = runner.invoke(main, ["graph", path], catch_exceptions=False)
+    assert (session.exit_code, graph.exit_code) == (1, 1)
+    assert session.stderr.endswith(
+        f"Error: Invalid value for '--input' / '-i': File '{path}' {reason}.\n"
+    )
+    assert graph.stderr.endswith(f"Error: Invalid value for 'FILE': File '{path}' {reason}.\n")
+
+
+@pytest.mark.parametrize("args", [["-i", "doc.json", "places"], ["graph", "doc.json"]])
+def test_non_utf8_input_is_a_parse_error(args):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("doc.json").write_bytes(b'{"generators": {"a": [["2\xff", "0"]]}}')
+        res = runner.invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 1
+    assert res.stderr == _error_json(
+        "ParseError", "cli", "parse error at position 25: expected UTF-8 text, found b'\\xff'"
+    )
+
+
+def test_input_newlines_read_as_open_reads_them():
+    # a JSON error on a file with CR newlines reports the same line as on LF
+    for newline in ("\n", "\r\n", "\r"):
+        res = _run(["-i", "doc.json", "places"], newline.join(["{", '"generators": ]', "}"]))
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["error"]["message"].startswith("parse error at line 2, ")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcert import (
     CommutingFamily,
@@ -21,8 +23,9 @@ from flatcert import (
 )
 from flatcert.errors import NotBallistic, NotCommuting
 from flatcert.exact.integers import padic_valuation
+from flatcert.flats import _eigh, _lattice_covolume
 
-from conftest import random_diag_23
+from conftest import numpy_eigh, numpy_lattice_decision, random_diag_23
 
 
 def _diag_gram_oracle(g: SqMatrix, h: SqMatrix, primes) -> tuple[float, F]:
@@ -232,3 +235,47 @@ def test_family_rejects_noncommuting():
         CommutingFamily.build(
             [("a", SqMatrix([[1, 1], [0, 1]])), ("b", SqMatrix([[1, 0], [1, 1]]))]
         )
+
+
+# -- the exact Gram decisions against the numpy oracle ----------------------
+
+
+@st.composite
+def psd_ish_grams(draw):
+    """Symmetric float Grams scale * (B^T B + delta * I), r x r with r in
+    1..4, B of k <= r rows (integer or float entries), so that PD, singular
+    and slightly indefinite Grams all occur."""
+    r = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10))
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r), max_size=r))
+    delta = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, 1e-3, 1.0]))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return tuple(
+        tuple(scale * (sum(row[i] * row[j] for row in b) + delta * (i == j)) for j in range(r))
+        for i in range(r)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(psd_ish_grams(), st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2]))
+def test_gram_decisions_match_numpy_oracle(combined, pd_epsilon):
+    r = len(combined)
+    lattice, min_eig, trace, covolume = numpy_lattice_decision(combined, pd_epsilon)
+    # the decision as flat_certificate makes it
+    got = _lattice_covolume(combined, pd_epsilon * trace) if trace > 0 else None
+    if abs(min_eig - pd_epsilon * trace) > 1e-9 * abs(trace):
+        assert (got is not None) == lattice
+    wn, vn = numpy_eigh(combined)
+    if got is not None and lattice:
+        # LU's det is backward stable: its relative error grows with the
+        # condition number, while the exact pivots have none
+        cond = wn[-1] / wn[0]
+        assert got == pytest.approx(covolume, rel=max(1e-12, 4 * r * 2.0**-52 * cond))
+    norm = math.sqrt(sum(x * x for row in combined for x in row))
+    w, v = _eigh(combined)
+    assert all(abs(a - b) <= 1e-12 * norm for a, b in zip(w, wn))
+    for k in range(r):
+        gap = min((abs(wn[k] - wn[j]) for j in range(r) if j != k), default=norm)
+        if gap > 1e-6 * norm:
+            err = min(max(abs(x - s * y) for x, y in zip(v[k], vn[k])) for s in (1, -1))
+            assert err <= 1e-12 * norm / gap

@@ -1,10 +1,12 @@
-"""sympy is loaded only where something factors over Q: number-field
-sessions, `decompose`, and the rare drift over Q of a characteristic
-polynomial with an irrational squarefree part of degree 4 or more.
+"""numpy is never loaded, and sympy only where something factors over Q:
+number-field sessions, `decompose`, and the rare drift over Q of a
+characteristic polynomial with an irrational squarefree part of degree 4 or
+more.
 
-Importing sympy costs about a third of a second, paid by every CLI call if
-any module imports it at top level; each check runs in a fresh interpreter
-so that modules loaded by other tests do not leak in.
+Importing sympy costs about a third of a second and numpy about a tenth,
+paid by every CLI call if any module imports them at top level; each check
+runs in a fresh interpreter so that modules loaded by other tests do not
+leak in.
 """
 
 import json
@@ -13,13 +15,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _sympy_loaded_after(code: str) -> bool:
+def _loaded_after(module: str, code: str) -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = f"import sys\n{code}\nprint('sympy' in sys.modules)"
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -27,40 +31,62 @@ def _sympy_loaded_after(code: str) -> bool:
 
 
 def test_cli_import_does_not_load_sympy():
-    assert not _sympy_loaded_after("import flatcert.cli")
+    assert not _loaded_after("sympy", "import flatcert.cli")
+
+
+def test_cli_import_does_not_load_numpy():
+    assert not _loaded_after("numpy", "import flatcert.cli")
 
 
 def test_field_session_loads_sympy():
     doc = {"field": ["-2", "0", "1"], "generators": {"g": [["1", "0"], ["0", "1"]]}}
     code = f"from flatcert import parse_session\nparse_session({json.dumps(json.dumps(doc))})"
-    assert _sympy_loaded_after(code)
+    assert _loaded_after("sympy", code)
 
 
-def _cli_loads_sympy(argv: list[str], expect: str) -> bool:
+def _cli_loads(module: str, argv: list[str], expect: str) -> bool:
     code = (
         "from click.testing import CliRunner\n"
         "from flatcert.cli import main\n"
         f"res = CliRunner().invoke(main, {argv!r})\n"
         f"assert {expect!r} in res.output, res.output"
     )
-    return _sympy_loaded_after(code)
+    return _loaded_after(module, code)
 
 
-def test_graph_over_q_does_not_load_sympy(tmp_path):
-    doc = {
+GRAPH = {
         "tori": [
             {"id": "T1", "A": [["2", "0"], ["0", "1/2"]], "B": [["3", "0"], ["0", "1/3"]]},
             {"id": "T2", "A": [["2", "1"], ["1", "1"]], "B": [["5", "3"], ["3", "2"]]},
         ],
         "gluings": [{"torus": "T1", "U": [[0, 1], [1, 0]], "secondBasisWords": ["b", "a"]}],
     }
+
+
+def test_graph_over_q_does_not_load_sympy(tmp_path):
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(doc))
-    assert not _cli_loads_sympy(["graph", str(path)], '"tag"')
+    path.write_text(json.dumps(GRAPH))
+    assert not _cli_loads("sympy", ["graph", str(path)], '"tag"')
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["graph", "graph.json"], '"Obstruction"'),
+        (["-i", "session.json", "flat", "d", "f"], '"Lattice"'),
+        (["-i", "session.json", "flat", "d", "d"], '"Degenerate"'),
+    ],
+)
+def test_graph_and_flat_do_not_load_numpy(tmp_path, monkeypatch, argv, expect):
+    session = {"generators": {"d": [["2", "0"], ["0", "1/2"]], "f": [["3", "0"], ["0", "1/3"]]}}
+    (tmp_path / "session.json").write_text(json.dumps(session))
+    (tmp_path / "graph.json").write_text(json.dumps(GRAPH))
+    monkeypatch.chdir(tmp_path)
+    assert not _cli_loads("numpy", argv, expect)
 
 
 def test_ballistic_classify_over_q_does_not_load_sympy(tmp_path):
     doc = {"generators": {"a": [["2", "1"], ["1", "1"]], "d": [["2", "0"], ["0", "1/2"]]}}
     path = tmp_path / "session.json"
     path.write_text(json.dumps(doc))
-    assert not _cli_loads_sympy(["-i", str(path), "classify", "a*d"], "Ballistic")
+    assert not _cli_loads("sympy", ["-i", str(path), "classify", "a*d"], "Ballistic")

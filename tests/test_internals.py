@@ -2,8 +2,12 @@
 
 from fractions import Fraction as F
 
-from flatcert.flats import _primitive, _psd_exact, _rationalize
+from flatcert.flats import _independent_over_q, _integer_form, _pivots, _primitive, _rationalize
 from flatcert.parallel import pmap
+
+
+def _psd_exact(rows) -> bool:
+    return _pivots(_integer_form(rows)[0]) is not None
 
 
 def test_psd_exact():
@@ -16,16 +20,31 @@ def test_psd_exact():
     assert not _psd_exact(((F(-1), F(0)), (F(0), F(1))))
     # zero pivot with nonzero row is not PSD
     assert not _psd_exact(((F(0), F(1)), (F(1), F(0))))
+    # rational entries are cleared to one integer matrix
+    assert _psd_exact(((F(1, 3), F(1, 2)), (F(1, 2), F(3, 4))))
+    assert not _psd_exact(((F(1, 3), F(1, 2)), (F(1, 2), F(2, 3))))
+
+
+def test_pivots_are_leading_minors():
+    assert _pivots([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == [2, 3, 4]
+    # a zero pivot with a zero row is kept as 0 and dropped from later minors
+    assert _pivots([[1, 0, 1], [0, 0, 0], [1, 0, 2]]) == [1, 0, 1]
+    assert _pivots([[1, 0, 1], [0, 0, 0], [1, 0, 0]]) is None
+    # float entries are exact integers over a power of two
+    assert _integer_form(((0.5, 0.25), (0.25, 1.0))) == ([[2, 1], [1, 4]], 4)
+
+
+def test_independent_over_q_keeps_the_first_of_each_new_direction():
+    vectors = [(1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 3, 1), (0, 0, 1)]
+    assert _independent_over_q(vectors) == [(1, 2, 0), (0, 1, 1), (0, 0, 1)]
 
 
 def test_primitive_and_rationalize():
     assert _primitive([F(2, 3), F(-1, 3)]) == (2, -1)
     assert _primitive([F(0), F(0)]) is None
     assert _primitive([F(-4), F(2)]) == (2, -1)
-    import numpy as np
-
-    v = np.array([0.89442719, -0.4472136])  # (2,-1)/sqrt(5)
-    assert _rationalize(v) == (2, -1)
+    assert _rationalize((0.89442719, -0.4472136)) == (2, -1)  # (2,-1)/sqrt(5)
+    assert _rationalize((0.0, 0.0)) is None
 
 
 def test_pmap_orders_results():
