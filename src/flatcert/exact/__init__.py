@@ -9,7 +9,6 @@ from .poly import (
     cyclotomic,
     cyclotomic_index,
     factor_q,
-    poly_gcd,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -17,7 +16,6 @@ from .roots import RootCluster, complex_roots, expand_roots
 
 __all__ = [
     "Poly",
-    "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
     "factor_q",

@@ -48,11 +48,13 @@ def _aberth(q: Poly, tol: float) -> list[tuple[complex, float]]:
     n = q.degree
     if n == 0:
         return []
-    if n == 1:
-        return [(complex(-q.coeffs[0] / q.coeffs[1]), 0.0)]
-    cs = [complex(c) for c in q.coeffs]
-    dq = q.derivative()
-    dcs = [complex(c) for c in dq.coeffs]
+    try:
+        if n == 1:
+            return [(complex(-q.coeffs[0] / q.coeffs[1]), 0.0)]
+        cs = [complex(c) for c in q.coeffs]
+        dcs = [complex(c) for c in q.derivative().coeffs]
+    except OverflowError:  # a coefficient beyond the double range
+        raise ToleranceNotReached(0, math.inf) from None
 
     def ev(coeffs: list[complex], z: complex) -> complex:
         acc = 0j

@@ -183,7 +183,8 @@ def _npc_certificate(rep: GraphRep, pd_epsilon: float | None, tol: float) -> Npc
     eps = PD_EPSILON if pd_epsilon is None else pd_epsilon
 
     def per_torus(t: TorusRep) -> tuple[str, FlatCertificate]:
-        family = CommutingFamily.build(t.named_gens(), places=rep.places)
+        # every caller ran _require_valid, which proved det 1 and commutation
+        family = CommutingFamily(names=("a", "b"), gens=(t.a, t.b), places=rep.places)
         return t.id, flat_certificate(family, eps, tol=tol)
 
     certs = tuple(pmap(per_torus, rep.tori))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
 from .exact.newton import newton_slopes
-from .exact.poly import Poly, cyclotomic, factor_q, squarefree_decomposition
+from .exact.poly import Poly, _divide, cyclotomic, factor_q, squarefree_decomposition
 from .exact.roots import complex_roots
 from .linalg import SqMatrix, charpoly, is_diagonalizable, order_bound
 
@@ -136,7 +136,8 @@ def _arch_drift(cp: Poly, padic: tuple, tol: float) -> list[float]:
     c, _ = _cyclotomic_split(cp, order_bound(cp.degree))
     arch = [0.0] * (cp.degree + 1 - len(c))
     slopes = [(p, {int(v) for v in vals if v.denominator == 1}) for p, vals in padic]
-    # some 0.15 us a candidate; past 2^14 of them per degree, factoring is cheaper
+    # some 0.11 us a candidate: 2^14 per degree cost what factor_q takes on such
+    # a charpoly (25-55 ms at degree 16-18), so past that, factoring is cheaper
     searched = 2 * math.prod(len(ks) for _, ks in slopes) <= 2**14 * cp.degree
     halves = [[(1, 1), (-1, 1)], [(1, 1)]]  # u/v = u1 u2 / v1 v2, one (u, v) from each
     for (p, ks), h in zip(slopes if searched else (), itertools.cycle(halves)):
@@ -206,24 +207,6 @@ def _quasi_unipotent_order(cp: Poly, n: int) -> int | None:
     monic integer irreducible with all roots on the unit circle is cyclotomic."""
     c, ks = _cyclotomic_split(cp, order_bound(n))
     return math.lcm(*ks) if len(c) == 1 else None
-
-
-def _divide(c: list[int], d: list[int]) -> list[int] | None:
-    """c / d for a primitive integer d (lowest degree first), or None when
-    d does not divide c.  By Gauss's lemma a primitive d that divides c
-    over Q divides it over Z, so a non-integral quotient digit means no."""
-    r = list(c)
-    m = len(d) - 1
-    q = [0] * (len(r) - m)
-    for i in range(len(r) - 1, m - 1, -1):
-        t, rem = divmod(r[i], d[m])
-        if rem:
-            return None
-        q[i - m] = t
-        if t:
-            for j in range(m + 1):
-                r[i - m + j] -= t * d[j]
-    return None if any(r[:m]) else q
 
 
 def classify(

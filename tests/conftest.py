@@ -5,8 +5,9 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
+import sympy
 
-from flatcert import Poly, SqMatrix, factor_q
+from flatcert import Poly, SqMatrix
 from flatcert.exact import complex_roots, cyclotomic_index
 from flatcert.linalg import order_bound
 
@@ -183,15 +184,44 @@ def charpoly_interpolation(m: SqMatrix) -> Poly:
     return result
 
 
+# -- factorization oracle over Q, by sympy ----------------------------------
+# sympy is a test dependency only; factor_q is flatcert's own
+# Berlekamp-Zassenhaus, and the oracles below factor with sympy instead, so
+# that they do not rest on the code they check.
+
+
+def sympy_factor(p: Poly) -> list[tuple[Poly, int]]:
+    """factor_q's contract by sympy's factor_list: [(monic irreducible
+    factor over Q, multiplicity)], sorted by (degree, coefficient tuple)."""
+    x = sympy.Symbol("x")
+    sp = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ"
+    )
+    out = [
+        (Poly([F(c.numerator, c.denominator) for c in reversed(f.all_coeffs())]).monic(), int(m))
+        for f, m in sp.factor_list()[1]
+    ]
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q by the Euclidean algorithm on Fraction
+    coefficients, independent of flatcert's integer remainder sequences."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 # -- quasi-unipotent order oracle, by factorization over Q -----------------
 
 
 def quasi_unipotent_order_factor(cp: Poly, n: int) -> int | None:
     """lcm of the cyclotomic indices of the irreducible factors of cp (by
-    factor_q), or None if some factor is not cyclotomic."""
+    sympy_factor), or None if some factor is not cyclotomic."""
     bound = order_bound(n)
     k0 = 1
-    for q, _ in factor_q(cp):
+    for q, _ in sympy_factor(cp):
         k = cyclotomic_index(q, bound)
         if k is None:
             return None
@@ -203,12 +233,12 @@ def quasi_unipotent_order_factor(cp: Poly, n: int) -> int | None:
 
 
 def arch_drift_factor(cp: Poly, tol: float) -> list[float]:
-    """Sorted log-moduli of the roots of cp, split by factor_q: cyclotomic
-    factors give exact 0.0 coordinates and the others go to complex_roots
-    one factor at a time."""
+    """Sorted log-moduli of the roots of cp, split by sympy_factor:
+    cyclotomic factors give exact 0.0 coordinates and the others go to
+    complex_roots one factor at a time."""
     bound = order_bound(cp.degree)
     arch: list[float] = []
-    for q, e in factor_q(cp):
+    for q, e in sympy_factor(cp):
         if cyclotomic_index(q, bound) is not None:
             arch.extend([0.0] * (q.degree * e))
             continue

@@ -4,6 +4,9 @@ that no malformed session or graph document escapes it."""
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr
 from pathlib import Path
 from fractions import Fraction
@@ -110,6 +113,24 @@ def test_graph_determinant_error_names_the_torus_basis():
     assert res.stderr == _error_json(
         "DeterminantNotOne", "linalg", "torus 'T2' basis image B has determinant 2, expected 1"
     )
+
+
+@pytest.mark.parametrize("k", [1500, 2000])
+def test_charpoly_beyond_double_range_is_a_structured_error(tmp_path, k):
+    """The charpoly of h^k, h = [[2, 1], [1, 1]], has a coefficient near
+    2.6^k, past the largest double: the root finder reports
+    ToleranceNotReached instead of escaping with OverflowError."""
+    (tmp_path / "doc.json").write_text(json.dumps({"generators": {"h": [["2", "1"], ["1", "1"]]}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-m", "flatcert.cli", "-i", "doc.json", "classify", f"h^{k}"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    # the error report goes to stderr, as for every FlatcertError
+    assert (out.returncode, out.stdout) == (1, "")
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["error"]["type"] == "ToleranceNotReached"
 
 
 def test_usage_error_exit_code_leaves_click_alone():

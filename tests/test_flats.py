@@ -271,7 +271,9 @@ def test_gram_decisions_match_numpy_oracle(combined, pd_epsilon):
         # condition number, while the exact pivots have none
         cond = wn[-1] / wn[0]
         assert got == pytest.approx(covolume, rel=max(1e-12, 4 * r * 2.0**-52 * cond))
-    norm = math.sqrt(sum(x * x for row in combined for x in row))
+    # hypot scales before squaring, so the norm of a Gram near 1e-214 does
+    # not underflow to 0 and take every tolerance below with it
+    norm = math.hypot(*(x for row in combined for x in row))
     w, v = _eigh(combined)
     assert all(abs(a - b) <= 1e-12 * norm for a, b in zip(w, wn))
     for k in range(r):

@@ -1,14 +1,12 @@
-"""numpy is never loaded, and sympy only where something factors over Q:
-number-field sessions, `decompose`, and the rare drift over Q of a
-characteristic polynomial with an irrational squarefree part of degree 4 or
-more.
+"""Neither numpy nor sympy is ever loaded: factoring over Q is flatcert's
+own, so number-field sessions and `decompose` need no sympy either.
 
 Importing sympy costs about a third of a second and numpy about a tenth,
-paid by every CLI call if any module imports them at top level; each check
-runs in a fresh interpreter so that modules loaded by other tests do not
-leak in.
+paid by every CLI call that loads them; each check runs in a fresh
+interpreter so that modules loaded by other tests do not leak in.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -38,10 +36,24 @@ def test_cli_import_does_not_load_numpy():
     assert not _loaded_after("numpy", "import flatcert.cli")
 
 
-def test_field_session_loads_sympy():
+def test_field_session_does_not_load_sympy():
     doc = {"field": ["-2", "0", "1"], "generators": {"g": [["1", "0"], ["0", "1"]]}}
     code = f"from flatcert import parse_session\nparse_session({json.dumps(json.dumps(doc))})"
-    assert _loaded_after("sympy", code)
+    assert not _loaded_after("sympy", code)
+
+
+def test_no_module_imports_sympy():
+    imported = []
+    for path in sorted((SRC / "flatcert").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imported += [path.name for name in names if name.split(".")[0] == "sympy"]
+    assert imported == []
 
 
 def _cli_loads(module: str, argv: list[str], expect: str) -> bool:
@@ -90,3 +102,33 @@ def test_ballistic_classify_over_q_does_not_load_sympy(tmp_path):
     path = tmp_path / "session.json"
     path.write_text(json.dumps(doc))
     assert not _cli_loads("sympy", ["-i", str(path), "classify", "a*d"], "Ballistic")
+
+
+# g = diag(1 + sqrt2, sqrt2 - 1) over Q(sqrt2) is ballistic, and the
+# charpoly of its 4x4 embedding is (x^2 - 2x - 1)(x^2 + 2x - 1), so making
+# the field and decomposing {g, h} both factor over Q
+FIELD_SESSION = {
+    "field": ["-2", "0", "1"],
+    "generators": {
+        "g": [[["1", "1"], "0"], ["0", ["-1", "1"]]],
+        "h": [[["3", "2"], "0"], ["0", ["3", "-2"]]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["-i", "field.json", "classify", "--direction", "g"], '"units"'),
+        (["-i", "field.json", "decompose", "g", "h"], '"blocks"'),
+        (["-i", "session.json", "decompose", "d", "f"], '"blocks"'),
+        (["-i", "session.json", "places"], '"primes"'),
+        (["-i", "session.json", "flat", "d", "f"], '"Lattice"'),
+    ],
+)
+def test_subcommands_do_not_load_sympy(tmp_path, monkeypatch, argv, expect):
+    session = {"generators": {"d": [["2", "0"], ["0", "1/2"]], "f": [["3", "0"], ["0", "1/3"]]}}
+    (tmp_path / "session.json").write_text(json.dumps(session))
+    (tmp_path / "field.json").write_text(json.dumps(FIELD_SESSION))
+    monkeypatch.chdir(tmp_path)
+    assert not _cli_loads("sympy", argv, expect)

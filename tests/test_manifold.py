@@ -25,7 +25,7 @@ from flatcert import (
     word_eval,
 )
 from flatcert.cli import main
-from flatcert.flats import gram
+from flatcert.flats import gram, verify_commuting
 from flatcert.manifold import InvalidGraphRep, graph_certificate
 from flatcert.places import _arch_drift, _charpoly_drift
 from flatcert.session import parse_graph
@@ -201,6 +201,17 @@ def test_cli_graph_validates_once_and_reuses_base_grams(monkeypatch, tmp_path):
     assert json.loads(res.output)["obstruction"]["torus"] == "T3"
     assert len(validations) == 1
     assert len(grams) == 3  # one per torus; the gluings follow from validation
+
+
+def test_cli_graph_builds_torus_families_without_rechecks(monkeypatch, tmp_path):
+    """validate proves det 1 and commutation for every torus, so the flat
+    certificates take the torus families as they are."""
+    path = tmp_path / "graph.json"
+    path.write_text(GRAPH_DOC)
+    rechecks = _count_calls(monkeypatch, verify_commuting)
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 2, res.output
+    assert rechecks == []
 
 
 def test_cli_graph_evaluates_each_second_basis_word_once(monkeypatch, tmp_path):

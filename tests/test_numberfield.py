@@ -24,6 +24,21 @@ def test_make_field_examples():
         make_field(Poly([-2, 0, 2]))
 
 
+@pytest.mark.parametrize(
+    "minpoly, witness",
+    [
+        (Poly([6, 0, -5, 0, 1]), Poly([-3, 0, 1])),  # (x^2 - 2)(x^2 - 3)
+        (Poly([-2, 0, -1, 0, 1]), Poly([-2, 0, 1])),  # (x^2 + 1)(x^2 - 2)
+        (Poly([1, 0, 2, 0, 1]), Poly([1, 0, 1])),  # (x^2 + 1)^2
+        (Poly([2, -1, -2, 1]), Poly([-2, 1])),  # (x - 2)(x^2 - 1)
+    ],
+)
+def test_not_irreducible_witness_is_first_sorted_factor(minpoly, witness):
+    with pytest.raises(NotIrreducible) as exc:
+        make_field(minpoly)
+    assert exc.value.factor == witness
+
+
 def test_arithmetic_examples():
     f = make_field(Poly([-2, 0, 1]))
     r2 = f.generator

@@ -154,7 +154,7 @@ def test_arch_drift_candidate_search_is_bounded(primes, block, factor_calls, abe
         elapsed = time.perf_counter() - start
     assert arch == arch_drift_factor(cp, 1e-12)
     assert (factor.call_count, aberth.call_count) == (factor_calls, aberth_calls)
-    # well inside the worker's 5 s deadline, sympy's first import included
+    # well inside the worker's 5 s deadline
     assert elapsed < 3.0
 
 

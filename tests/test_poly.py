@@ -5,9 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import poly_gcd, sympy_factor
 from flatcert import Poly, cyclotomic, factor_q, squarefree_part
-from flatcert.exact.poly import cyclotomic_index, poly_gcd, squarefree_decomposition
+from flatcert.exact.poly import cyclotomic_index, squarefree_decomposition
 
 
 def test_divmod_exact():
@@ -69,6 +72,50 @@ def test_factor_q_reexpands():
             assert q.is_monic()
             prod = prod * q**m
         assert prod == p.monic()
+
+
+# irreducible over Q, but split into factors of degree at most 2 modulo
+# every prime, so the recombination of modular factors must take subsets
+X4_10X2_1 = Poly([1, 0, -10, 0, 1])
+# the minimal polynomial of sqrt2 + sqrt3 + sqrt5 (Swinnerton-Dyer), of
+# degree 8, likewise splits into at least four factors modulo every prime
+SWINNERTON_DYER_235 = Poly([576, 0, -960, 0, 352, 0, -40, 0, 1])
+
+_dense = st.tuples(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+    st.integers(-4, 4).filter(bool),
+).map(lambda cl: Poly(cl[0] + [cl[1]]))
+
+_factor_blocks = st.one_of(
+    st.integers(1, 30).map(cyclotomic),
+    st.fractions(-12, 12, max_denominator=6).map(Poly.x_minus),
+    st.integers(-30, 30).map(lambda t: Poly([1, -t, 1])),
+    st.sampled_from([X4_10X2_1, SWINNERTON_DYER_235]),
+    st.integers(1, 3).map(Poly.x_power),
+    _dense,
+)
+
+
+@st.composite
+def _factor_products(draw):
+    p = Poly([draw(st.sampled_from([1, 1, -1, 3, F(2, 7), F(-5, 3)]))])
+    for block, mult in draw(st.lists(st.tuples(_factor_blocks, st.integers(1, 3)), min_size=1, max_size=3)):
+        p = p * block**mult
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_products())
+def test_factor_q_matches_sympy_oracle(p):
+    assert factor_q(p) == sympy_factor(p)
+
+
+def test_factor_q_recombines_modular_factors():
+    # each is irreducible, though split into factors of degree <= 2 mod p
+    assert factor_q(X4_10X2_1) == [(X4_10X2_1, 1)]
+    assert factor_q(SWINNERTON_DYER_235) == [(SWINNERTON_DYER_235, 1)]
+    # two such irreducibles: some pairs of modular factors make each one
+    assert factor_q(X4_10X2_1 * SWINNERTON_DYER_235) == [(X4_10X2_1, 1), (SWINNERTON_DYER_235, 1)]
 
 
 def test_cyclotomic_small():
