@@ -222,11 +222,12 @@ def factor_q(p: Poly) -> list[tuple[Poly, int]]:
     Berlekamp-Zassenhaus on each squarefree part f of Yun's split, a
     primitive integer polynomial: Berlekamp's deterministic split of f
     modulo the prime with the fewest factors among the first few that keep
-    f squarefree and of full degree; a quadratic Hensel lift of each
-    factor past 2 |lc(f)| times Mignotte's bound on the coefficients of a
-    factor of f over Z; then trial division by the products of subsets of
-    the lifted factors, smallest subsets first.  Factors are ordered by
-    (degree, coefficient tuple) so output is deterministic.
+    f squarefree and of full degree; quadratic Hensel lifts along a
+    balanced tree of those factors, past 2 |lc(f)| times Mignotte's bound
+    on the coefficients of a factor of f over Z; then trial division by the
+    products of subsets of the lifted factors, smallest subsets first.
+    Factors are ordered by (degree, coefficient tuple) so output is
+    deterministic.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -365,7 +366,9 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
         a[i], a[k] = a[k], a[i]
         inv = pow(a[i][c], -1, p)
         a[i] = [x * inv % p for x in a[i]]
-        a = [b if j == i else [(x - b[c] * y) % p for x, y in zip(b, a[i])] for j, b in enumerate(a)]
+        a = [
+            b if j == i else [(x - b[c] * y) % p for x, y in zip(b, a[i])] for j, b in enumerate(a)
+        ]
         pivots.append(c)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
@@ -376,7 +379,9 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     return basis
 
 
-def _hensel(f: list[int], g: list[int], h: list[int], p: int, m: int) -> tuple[list[int], list[int]]:
+def _hensel(
+    f: list[int], g: list[int], h: list[int], p: int, m: int
+) -> tuple[list[int], list[int]]:
     """(g', h'), congruent to (g, h) mod p, with f = g' h' mod m and h' monic,
     given f = g h mod p with h monic and g, h coprime, for m a power p^(2^j)
     (von zur Gathen and Gerhard, Algorithm 15.10)."""

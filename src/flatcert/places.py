@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
 from .exact.newton import newton_slopes
-from .exact.poly import Poly, _divide, cyclotomic, factor_q, squarefree_decomposition
+from .exact.poly import Poly, _divide, _integral, cyclotomic, factor_q, squarefree_decomposition
 from .exact.roots import complex_roots
 from .linalg import SqMatrix, charpoly, is_diagonalizable, order_bound
 
@@ -190,9 +190,7 @@ def _cyclotomic_split(cp: Poly, bound: int) -> tuple[list[int], list[int]]:
     """(c, ks): the primitive integer multiple of cp, lowest degree first,
     with each Phi_k, k <= bound, divided out exactly while it divides, and
     the k that divided.  The Phi_k are irreducible and pairwise coprime."""
-    den = math.lcm(*(x.denominator for x in cp.coeffs))
-    c = [int(x * den) for x in cp.coeffs]  # primitive, since cp is monic
-    ks = []
+    c, ks = _integral(cp), []
     for k in range(1, bound + 1):
         phi = [int(x) for x in cyclotomic(k).coeffs]
         while len(phi) <= len(c) and (q := _divide(c, phi)) is not None:
