@@ -18,7 +18,7 @@ from .flats import CommutingFamily, flat_certificate
 from .linalg import block_decompose
 from .manifold import InvalidGraphRep, graph_certificate
 from .places import classify as classify_element
-from .places import direction_profile, drift_profile
+from .places import direction_profile
 from .report import (
     classification_dict,
     direction_dict,
@@ -136,12 +136,9 @@ def classify(opts: Options, word, direction):
     expr = parse_word(word)
     m = word_eval(expr, spec.embedded)
     cls = classify_element(m, spec.places, label=word, tol=opts.tolerance)
-    profile = drift_profile(m, spec.places, label=word, tol=opts.tolerance)
-    report = {"word": word, **classification_dict(cls), **profile_dict(profile)}
+    report = {"word": word, **classification_dict(cls), **profile_dict(cls.profile)}
     if direction:
-        report["direction"] = direction_dict(
-            direction_profile(m, spec.places, label=word, tol=opts.tolerance)
-        )
+        report["direction"] = direction_dict(direction_profile(cls))
     opts.emit(report)
 
 

@@ -60,12 +60,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -77,14 +71,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    @classmethod
-    def x_power(cls, k: int, coeff=1) -> "Poly":
-        return cls([0] * k + [coeff])
-
-    @classmethod
-    def x_minus(cls, a) -> "Poly":
-        return cls([-_frac(a), 1])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,9 +139,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():

@@ -44,13 +44,18 @@ class RootCluster(tuple):
 
 
 def _aberth(q: Poly, tol: float) -> list[tuple[complex, float]]:
-    """Simultaneous refinement of all roots of a squarefree monic q."""
+    """Simultaneous refinement of all roots of a squarefree monic q with
+    q(0) != 0.  A root that comes out as 0.0 (a tiny root lost below the
+    double range) is a failed isolation, reported as ToleranceNotReached."""
     n = q.degree
     if n == 0:
         return []
     try:
         if n == 1:
-            return [(complex(-q.coeffs[0] / q.coeffs[1]), 0.0)]
+            z = complex(-q.coeffs[0] / q.coeffs[1])
+            if z == 0:
+                raise ToleranceNotReached(0, math.inf)
+            return [(z, 0.0)]
         cs = [complex(c) for c in q.coeffs]
         dcs = [complex(c) for c in q.derivative().coeffs]
     except OverflowError:  # a coefficient beyond the double range
@@ -100,6 +105,8 @@ def _aberth(q: Poly, tol: float) -> list[tuple[complex, float]]:
             for i in range(n):
                 dpz = ev(dcs, zs[i])
                 bounds[i] = n * abs(ev(cs, zs[i]) / dpz) if dpz != 0 else math.inf
+            if 0 in zs:
+                raise ToleranceNotReached(iteration + 1, math.inf)
             if max(bounds) <= tol:
                 return list(zip(zs, bounds))
     raise ToleranceNotReached(MAX_ITERATIONS, max(bounds))

@@ -544,19 +544,16 @@ def _split_recursive(gens: list[SqMatrix]) -> list[tuple[list[list[Fraction]], l
     return out
 
 
-def block_decompose(gens_named: list[tuple[str, SqMatrix]] | list[SqMatrix]) -> BlockDecomposition:
-    """Simultaneous block decomposition of a pairwise-commuting family.
+def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecomposition:
+    """Simultaneous block decomposition of a pairwise-commuting family of
+    (name, matrix) pairs.
 
     Output blocks are sorted by (size, lexicographic block charpolys); the
     conjugator has determinant exactly 1 (a diagonal correction inside the
     first block absorbs the scaling).
     """
-    if gens_named and isinstance(gens_named[0], tuple):
-        names = [nm for nm, _ in gens_named]
-        gens = [g for _, g in gens_named]
-    else:
-        names = [str(i) for i in range(len(gens_named))]
-        gens = list(gens_named)
+    names = [nm for nm, _ in gens_named]
+    gens = [g for _, g in gens_named]
     if not gens:
         raise ValueError("empty generator list")
     n = gens[0].n

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
@@ -43,11 +43,6 @@ class PlaceSet:
     primes: tuple[int, ...]
     archimedean: bool = True
 
-    def labels(self) -> list[str]:
-        out = ["arch"] if self.archimedean else []
-        out.extend(str(p) for p in self.primes)
-        return out
-
 
 @dataclass(frozen=True)
 class DriftProfile:
@@ -56,9 +51,6 @@ class DriftProfile:
     arch: tuple[float, ...]
     padic: dict[int, tuple[Fraction, ...]]
     label: str | None = None
-
-    def nonarch_is_zero(self) -> bool:
-        return all(v == 0 for vals in self.padic.values() for v in vals)
 
     def length2_arch(self) -> float:
         return sum(x * x for x in self.arch)
@@ -71,15 +63,22 @@ class DriftProfile:
 class Classification:
     """Total, mutually exclusive tag for a det-1 matrix.
 
-    order is the k of FiniteOrder(k) / VirtuallyUnipotent(k); the last
-    three fields are the Ballistic payload.
+    order is the k of FiniteOrder(k) / VirtuallyUnipotent(k); diagonalizable
+    is set for Ballistic.  profile is the drift the tag was decided from.
     """
 
     tag: str
+    profile: DriftProfile = field(compare=False, repr=False)
     order: int | None = None
     diagonalizable: bool | None = None
-    length2_arch: float | None = None
-    length2_nonarch: Fraction | None = None
+
+    @property
+    def length2_arch(self) -> float:
+        return self.profile.length2_arch()
+
+    @property
+    def length2_nonarch(self) -> Fraction:
+        return self.profile.length2_nonarch()
 
     @property
     def is_ballistic(self) -> bool:
@@ -123,22 +122,36 @@ def _check_places_complete(m: SqMatrix, places: PlaceSet):
         raise PlaceSetIncomplete(missing)
 
 
-def _arch_drift(cp: Poly, padic: tuple, tol: float) -> list[float]:
-    """Sorted log-moduli of the roots of cp, taken per irreducible factor.
+def _cyclotomic_split(cp: Poly, bound: int) -> tuple[list[int], list[int]]:
+    """(c, ks): the primitive integer multiple of cp, lowest degree first,
+    with each Phi_k, k <= bound, divided out exactly while it divides, and
+    the k that divided.  The Phi_k are irreducible and pairwise coprime."""
+    c, ks = _integral(cp), []
+    for k in range(1, bound + 1):
+        phi = [int(x) for x in cyclotomic(k).coeffs]
+        while len(phi) <= len(c) and (q := _divide(c, phi)) is not None:
+            c = q
+            ks.append(k)
+    return c, ks
 
-    Cyclotomic factors give exact 0.0 coordinates, so that no neutral
-    direction picks up floating fuzz.  A rational root of the charpoly of a
-    det-1 matrix over Z[1/S] is a unit u/v = +-prod p^k of that ring, k an
-    integer slope in padic = ((p, valuations), ...); x - u/v | c over Z
-    forces v - u | c(1) and v + u | c(-1), screened before each division.
-    Free of rational roots, a squarefree part of degree <= 3 is irreducible.
+
+def _arch_drift(c: list[int], n: int, padic: tuple, tol: float) -> list[float]:
+    """Sorted log-moduli of the roots of a charpoly of degree n, of which
+    _cyclotomic_split left the integer polynomial c, lowest degree first.
+
+    Each Phi_k divided out gives its degree in exact 0.0 coordinates, so
+    that no neutral direction picks up floating fuzz.  A rational root of
+    the charpoly of a det-1 matrix over Z[1/S] is a unit u/v = +-prod p^k
+    of that ring, k an integer slope in padic = ((p, valuations), ...);
+    x - u/v | c over Z forces v - u | c(1) and v + u | c(-1), screened
+    before each division.  Free of rational roots, a squarefree part of
+    degree <= 3 is irreducible.
     """
-    c, _ = _cyclotomic_split(cp, order_bound(cp.degree))
-    arch = [0.0] * (cp.degree + 1 - len(c))
+    arch = [0.0] * (n + 1 - len(c))
     slopes = [(p, {int(v) for v in vals if v.denominator == 1}) for p, vals in padic]
     # some 0.11 us a candidate: 2^14 per degree cost what factor_q takes on such
     # a charpoly (25-55 ms at degree 16-18), so past that, factoring is cheaper
-    searched = 2 * math.prod(len(ks) for _, ks in slopes) <= 2**14 * cp.degree
+    searched = 2 * math.prod(len(ks) for _, ks in slopes) <= 2**14 * n
     halves = [[(1, 1), (-1, 1)], [(1, 1)]]  # u/v = u1 u2 / v1 v2, one (u, v) from each
     for (p, ks), h in zip(slopes if searched else (), itertools.cycle(halves)):
         h[:] = [(u * p**k, v) if k >= 0 else (u, v * p**-k) for u, v in h for k in ks]
@@ -164,8 +177,13 @@ def _arch_drift(cp: Poly, padic: tuple, tol: float) -> list[float]:
 @functools.lru_cache(maxsize=4096)
 def _charpoly_drift(
     cp: Poly, primes: tuple[int, ...], tol: float
-) -> tuple[tuple[float, ...], tuple[tuple[int, tuple[Fraction, ...]], ...]]:
-    """(arch coordinates, ((p, valuations), ...)) of a charpoly.
+) -> tuple[tuple[float, ...], tuple[tuple[int, tuple[Fraction, ...]], ...], int | None]:
+    """(arch coordinates, ((p, valuations), ...), order) of a charpoly.
+
+    One exact cyclotomic split serves both the drift and the tag.  order is
+    the lcm of the k with Phi_k | cp when those Phi_k consume cp, else None.
+    By Kronecker, a monic integer irreducible with all roots on the unit
+    circle is cyclotomic; a non-integral cp is never consumed.
 
     The drift of an element depends on its characteristic polynomial and
     the place set alone, so it is computed once per distinct charpoly; the
@@ -173,7 +191,16 @@ def _charpoly_drift(
     (ToleranceNotReached) are not cached.
     """
     padic = tuple((p, newton_slopes(cp, p).valuations) for p in primes)
-    return tuple(_arch_drift(cp, padic, tol)), padic
+    c, ks = _cyclotomic_split(cp, order_bound(cp.degree))
+    arch = _arch_drift(c, cp.degree, padic, tol)
+    return tuple(arch), padic, math.lcm(*ks) if len(c) == 1 else None
+
+
+def _drift(
+    m: SqMatrix, places: PlaceSet, label: str | None, tol: float
+) -> tuple[DriftProfile, int | None]:
+    arch, padic, order = _charpoly_drift(charpoly(m), places.primes, tol)
+    return DriftProfile(arch=arch, padic=dict(padic), label=label), order
 
 
 def drift_profile(
@@ -182,29 +209,7 @@ def drift_profile(
     """Sorted per-place drift coordinates of a det-1 rational matrix."""
     _check_det_one(m)
     _check_places_complete(m, places)
-    arch, padic = _charpoly_drift(charpoly(m), places.primes, tol)
-    return DriftProfile(arch=arch, padic=dict(padic), label=label)
-
-
-def _cyclotomic_split(cp: Poly, bound: int) -> tuple[list[int], list[int]]:
-    """(c, ks): the primitive integer multiple of cp, lowest degree first,
-    with each Phi_k, k <= bound, divided out exactly while it divides, and
-    the k that divided.  The Phi_k are irreducible and pairwise coprime."""
-    c, ks = _integral(cp), []
-    for k in range(1, bound + 1):
-        phi = [int(x) for x in cyclotomic(k).coeffs]
-        while len(phi) <= len(c) and (q := _divide(c, phi)) is not None:
-            c = q
-            ks.append(k)
-    return c, ks
-
-
-def _quasi_unipotent_order(cp: Poly, n: int) -> int | None:
-    """lcm of the k with Phi_k | cp, or None if cp is not a product of
-    cyclotomic polynomials.  Valid only for integer cp: by Kronecker, a
-    monic integer irreducible with all roots on the unit circle is cyclotomic."""
-    c, ks = _cyclotomic_split(cp, order_bound(n))
-    return math.lcm(*ks) if len(c) == 1 else None
+    return _drift(m, places, label, tol)[0]
 
 
 def classify(
@@ -212,38 +217,31 @@ def classify(
 ) -> Classification:
     """Total exact classification of a det-1 rational matrix.
 
-    Decision tree: identity; unipotent (charpoly = (x-1)^n); zero p-adic
-    drift and all-cyclotomic charpoly factors => finite order or virtually
-    unipotent with the exact power k; otherwise ballistic with the squared
-    translation length split into float archimedean and exact
-    non-archimedean parts.
+    Decision tree, after one det-1 and one place check:
+    - Identity, before any charpoly, with the zero drift profile;
+    - otherwise one drift analysis of the charpoly, whose cyclotomic split
+      gives order, the lcm of the k with Phi_k | cp when those consume cp:
+      - order 1, i.e. cp = (x-1)^n: Unipotent;
+      - any other order k: FiniteOrder(k) if m^k is the identity, else
+        VirtuallyUnipotent(k);
+      - no order: Ballistic, with the squared translation length split
+        into float archimedean and exact non-archimedean parts.
+    The result carries the profile it was decided from.
     """
     _check_det_one(m, name=label)
     _check_places_complete(m, places)
     if m.is_identity():
-        return Classification(tag="Identity")
-    cp = charpoly(m)
-    n = m.n
-    if cp == Poly([-1, 1]) ** n:
-        return Classification(tag="Unipotent")
-    padic_zero = all(
-        v == 0 for p in places.primes for v in newton_slopes(cp, p).valuations
-    )
-    if padic_zero:
-        # zero slopes at every discovered prime force integral coefficients
-        assert cp.integer_coeffs(), "flat Newton polygons must have integral coefficients"
-        k0 = _quasi_unipotent_order(cp, n)
-        if k0 is not None:
-            if (m ** k0).is_identity():
-                return Classification(tag="FiniteOrder", order=k0)
-            return Classification(tag="VirtuallyUnipotent", order=k0)
-    profile = drift_profile(m, places, label=label, tol=tol)
-    return Classification(
-        tag="Ballistic",
-        diagonalizable=is_diagonalizable(m),
-        length2_arch=profile.length2_arch(),
-        length2_nonarch=profile.length2_nonarch(),
-    )
+        zero = DriftProfile(
+            arch=(0.0,) * m.n, padic={p: (Fraction(0),) * m.n for p in places.primes}, label=label
+        )
+        return Classification(tag="Identity", profile=zero)
+    profile, order = _drift(m, places, label, tol)
+    if order == 1:
+        return Classification(tag="Unipotent", profile=profile)
+    if order is not None:
+        tag = "FiniteOrder" if (m**order).is_identity() else "VirtuallyUnipotent"
+        return Classification(tag=tag, profile=profile, order=order)
+    return Classification(tag="Ballistic", profile=profile, diagonalizable=is_diagonalizable(m))
 
 
 @dataclass(frozen=True)
@@ -257,17 +255,15 @@ class DirectionProfile:
     angles: dict[tuple[str, str], float]
 
 
-def direction_profile(
-    m: SqMatrix, places: PlaceSet, label: str | None = None, *, tol: float = 1e-12
-) -> DirectionProfile:
-    cls = classify(m, places, label=label, tol=tol)
+def direction_profile(cls: Classification) -> DirectionProfile:
+    """Directions of a ballistic element, read from its classification's
+    drift profile; the places are the profile's."""
     if not cls.is_ballistic:
         raise NotBallistic(f"element classifies {cls}; direction is defined for ballistic elements")
-    profile = drift_profile(m, places, label=label, tol=tol)
+    profile = cls.profile
     coords: dict[str, list[float]] = {"arch": list(profile.arch)}
     norms2_nonarch: dict[str, Fraction] = {}
-    for p in places.primes:
-        vals = profile.padic[p]
+    for p, vals in profile.padic.items():
         coords[str(p)] = [float(v) for v in vals]
         norms2_nonarch[str(p)] = sum((v * v for v in vals), Fraction(0))
     norms = {lbl: math.sqrt(sum(x * x for x in v)) for lbl, v in coords.items()}
@@ -275,11 +271,10 @@ def direction_profile(
         lbl: tuple((x / norms[lbl]) if norms[lbl] > 0 else 0.0 for x in v)
         for lbl, v in coords.items()
     }
-    labels = places.labels()
     angles = {
         (p_lbl, q_lbl): math.atan2(norms[q_lbl], norms[p_lbl])
-        for p_lbl in labels
-        for q_lbl in labels
+        for p_lbl in coords
+        for q_lbl in coords
         if p_lbl != q_lbl
     }
     return DirectionProfile(

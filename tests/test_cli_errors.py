@@ -115,22 +115,39 @@ def test_graph_determinant_error_names_the_torus_basis():
     )
 
 
-@pytest.mark.parametrize("k", [1500, 2000])
-def test_charpoly_beyond_double_range_is_a_structured_error(tmp_path, k):
-    """The charpoly of h^k, h = [[2, 1], [1, 1]], has a coefficient near
-    2.6^k, past the largest double: the root finder reports
-    ToleranceNotReached instead of escaping with OverflowError."""
+def _classify_power_in_subprocess(tmp_path, k: int) -> subprocess.CompletedProcess:
+    """classify h^k, h = [[2, 1], [1, 1]], in a fresh CLI process."""
     (tmp_path / "doc.json").write_text(json.dumps({"generators": {"h": [["2", "1"], ["1", "1"]]}}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "flatcert.cli", "-i", "doc.json", "classify", f"h^{k}"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _assert_tolerance_not_reached(out: subprocess.CompletedProcess):
     # the error report goes to stderr, as for every FlatcertError
     assert (out.returncode, out.stdout) == (1, "")
     assert "Traceback" not in out.stderr
     assert json.loads(out.stderr)["error"]["type"] == "ToleranceNotReached"
+
+
+@pytest.mark.parametrize("k", [1500, 2000])
+def test_charpoly_beyond_double_range_is_a_structured_error(tmp_path, k):
+    """The charpoly of h^k has a coefficient near 2.6^k, past the largest
+    double: the root finder reports ToleranceNotReached instead of escaping
+    with OverflowError."""
+    _assert_tolerance_not_reached(_classify_power_in_subprocess(tmp_path, k))
+
+
+@pytest.mark.parametrize("k", [229, 230, 244, 245, 264, 282, 305, 309, 323, 365])
+def test_root_lost_to_zero_is_a_structured_error(tmp_path, k):
+    """For these k the root 2.6^-k of the charpoly of h^k comes out of the
+    root finder as 0.0, where math.log used to raise ValueError.  The
+    charpoly of a det-1 matrix has no zero root, so that is a failed
+    isolation: ToleranceNotReached."""
+    _assert_tolerance_not_reached(_classify_power_in_subprocess(tmp_path, k))
 
 
 def test_usage_error_exit_code_leaves_click_alone():

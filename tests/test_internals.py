@@ -1,6 +1,11 @@
-"""Exact PSD check, null-vector rationalization, the serial pmap."""
+"""Exact PSD check, null-vector rationalization, the serial pmap, and the
+names each module exports."""
 
+import importlib
+import pkgutil
 from fractions import Fraction as F
+
+import flatcert
 
 from flatcert.flats import _independent_over_q, _integer_form, _pivots, _primitive, _rationalize
 from flatcert.parallel import pmap
@@ -61,3 +66,17 @@ def test_pmap_propagates_errors():
 
     with pytest.raises(ValueError):
         pmap(boom, range(6))
+
+
+def test_every_exported_name_resolves():
+    modules = [flatcert] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(flatcert.__path__, "flatcert.")
+    ]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert len(modules) > 10 and missing == []

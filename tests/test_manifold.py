@@ -27,7 +27,7 @@ from flatcert import (
 from flatcert.cli import main
 from flatcert.flats import gram, verify_commuting
 from flatcert.manifold import InvalidGraphRep, graph_certificate
-from flatcert.places import _arch_drift, _charpoly_drift
+from flatcert.places import _charpoly_drift, _cyclotomic_split
 from flatcert.session import parse_graph
 
 from conftest import congruence, gram_close, random_diag_23, unimodular, unimodular_2x2
@@ -228,7 +228,8 @@ def test_cli_graph_drifts_each_charpoly_once_without_factoring(monkeypatch, tmp_
     path = tmp_path / "graph.json"
     path.write_text(GRAPH_DOC)
     factored = _count_calls(monkeypatch, factor_q)
-    drifts = _count_calls(monkeypatch, _arch_drift)
+    # one cyclotomic split per cold analysis, so one per distinct charpoly
+    drifts = _count_calls(monkeypatch, _cyclotomic_split)
     _charpoly_drift.cache_clear()
     cold = CliRunner().invoke(main, ["graph", str(path)])
     warm = CliRunner().invoke(main, ["graph", str(path)])

@@ -21,9 +21,10 @@ from flatcert import (
     drift_profile,
 )
 from flatcert.errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete, ToleranceNotReached
-from flatcert.exact import complex_roots, factor_q, newton_slopes
+from flatcert.exact import complex_roots, factor_q
 from flatcert.linalg import charpoly
-from flatcert.places import _arch_drift, _quasi_unipotent_order
+from flatcert.places import _charpoly_drift
+from flatcert.report import profile_dict, render_json
 
 from conftest import arch_drift_factor, det1_corpus, quasi_unipotent_order_factor, unimodular
 
@@ -44,18 +45,32 @@ def _cyclotomic_products(draw, max_degree=16):
     return cp
 
 
+def _drift(cp: Poly, primes: tuple[int, ...] = ()) -> tuple:
+    """(arch, padic, order) of cp from a cold analysis, so that every call
+    reaches the root finder and the factorizer it needs."""
+    _charpoly_drift.cache_clear()
+    return _charpoly_drift(cp, primes, 1e-12)
+
+
+def _order(cp: Poly) -> int | None:
+    """The quasi-unipotent order read from the analysis' cyclotomic split."""
+    return _drift(cp)[2]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_cyclotomic_products())
 def test_quasi_unipotent_order_matches_factorization(cp):
     n = max(cp.degree, 1)
-    assert _quasi_unipotent_order(cp, n) == quasi_unipotent_order_factor(cp, n)
+    assert _order(cp) == quasi_unipotent_order_factor(cp, n)
 
 
 def test_quasi_unipotent_order_examples():
-    assert _quasi_unipotent_order(cyclotomic(4) * cyclotomic(6), 4) == 12
-    assert _quasi_unipotent_order(cyclotomic(2) ** 3 * cyclotomic(1), 4) == 2
-    assert _quasi_unipotent_order(Poly([-1, 1]) ** 3, 3) == 1
-    assert _quasi_unipotent_order(cyclotomic(3) * Poly([1, -3, 1]), 4) is None
+    assert _order(cyclotomic(4) * cyclotomic(6)) == 12
+    assert _order(cyclotomic(2) ** 3 * cyclotomic(1)) == 2
+    assert _order(Poly([-1, 1]) ** 3) == 1
+    assert _order(cyclotomic(3) * Poly([1, -3, 1])) is None
+    # a non-integral charpoly is never consumed by the split
+    assert _order(Poly([1, F(-5, 2), 1])) is None
 
 
 # -- the exact split of the archimedean drift, against factor_q ------------
@@ -63,7 +78,7 @@ def test_quasi_unipotent_order_examples():
 _CYCLOTOMIC = st.integers(1, 12).map(cyclotomic)
 _S_UNIT_ROOT = st.tuples(
     st.sampled_from((1, -1)), st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2)
-).map(lambda s: Poly.x_minus(s[0] * F(2) ** s[1] * F(3) ** s[2] * F(5) ** s[3]))
+).map(lambda s: Poly([-s[0] * F(2) ** s[1] * F(3) ** s[2] * F(5) ** s[3], 1]))
 
 
 @st.composite
@@ -78,10 +93,6 @@ def _split_products(draw):
     for f in factors + [Poly([1, -t, 1]) for t in ts]:
         cp = cp * f ** draw(st.integers(1, 3))
     return cp, len(ts)
-
-
-def _padic(cp: Poly, primes: tuple[int, ...]) -> tuple:
-    return tuple((p, newton_slopes(cp, p).valuations) for p in primes)
 
 
 def _drift_or_error(fn):
@@ -99,7 +110,7 @@ def test_arch_drift_matches_factor_oracle(case):
         mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
         mock.patch("flatcert.places.factor_q", wraps=factor_q) as factor,
     ):
-        drift = _drift_or_error(lambda: _arch_drift(cp, _padic(cp, (2, 3, 5)), 1e-12))
+        drift = _drift_or_error(lambda: _drift(cp, (2, 3, 5))[0])
     assert drift == _drift_or_error(lambda: arch_drift_factor(cp, 1e-12))
     # cyclotomic factors and S-unit roots never reach the float root finder,
     # and a single quadratic, at any power, is not factored
@@ -144,13 +155,12 @@ def test_arch_drift_candidate_search_is_bounded(primes, block, factor_calls, abe
     places = discover_places([m])
     assert places.primes == primes
     cp = charpoly(m)
-    padic = _padic(cp, primes)
     with (
         mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
         mock.patch("flatcert.places.factor_q", wraps=factor_q) as factor,
     ):
         start = time.perf_counter()
-        arch = _arch_drift(cp, padic, 1e-12)
+        arch = list(_drift(cp, primes)[0])
         elapsed = time.perf_counter() - start
     assert arch == arch_drift_factor(cp, 1e-12)
     assert (factor.call_count, aberth.call_count) == (factor_calls, aberth_calls)
@@ -165,12 +175,12 @@ def test_arch_drift_factors_a_cofactor_over_budget():
     rather than sent to Aberth whole."""
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     u = math.prod(primes)
-    cp = Poly.x_minus(u) * Poly.x_minus(F(1, u))
+    cp = Poly([-u, 1]) * Poly([-F(1, u), 1])
     with (
         mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
         mock.patch("flatcert.places.factor_q", wraps=factor_q) as factor,
     ):
-        arch = _arch_drift(cp, _padic(cp, primes), 1e-12)
+        arch = list(_drift(cp, primes)[0])
     assert arch == arch_drift_factor(cp, 1e-12)
     assert (factor.call_count, aberth.call_count) == (1, 2)
 
@@ -204,7 +214,13 @@ def test_drift_profile_examples():
 
 def test_classify_examples():
     places = PlaceSet(primes=(2,))
-    assert classify(SqMatrix.identity(2), places).tag == "Identity"
+    ident = SqMatrix.identity(2)
+    cls = classify(ident, places)
+    assert cls.tag == "Identity"
+    # decided before any charpoly, with the profile the charpoly would give
+    assert ident._charpoly is None
+    zero = render_json(profile_dict(drift_profile(SqMatrix.identity(2), places)))
+    assert render_json(profile_dict(cls.profile)) == zero
     rot = classify(SqMatrix([[0, -1], [1, 0]]), places)
     assert (rot.tag, rot.order) == ("FiniteOrder", 4)
     assert classify(SqMatrix([[1, 1], [0, 1]]), places).tag == "Unipotent"
@@ -301,7 +317,7 @@ def test_zero_sum_per_place():
 
 def test_direction_profile_examples():
     m = SqMatrix.diagonal([2, F(1, 2)])
-    d = direction_profile(m, PlaceSet(primes=(2,)))
+    d = direction_profile(classify(m, PlaceSet(primes=(2,))))
     r_arch = math.sqrt(2) * math.log(2)
     assert abs(d.norms["arch"] - r_arch) < 1e-11
     assert abs(d.norms["2"] - math.sqrt(2)) < 1e-12
@@ -310,7 +326,7 @@ def test_direction_profile_examples():
 
     # scaling invariance: diag(4,1/4) has the same unit vectors and angles
     m2 = SqMatrix.diagonal([4, F(1, 4)])
-    d2 = direction_profile(m2, PlaceSet(primes=(2,)))
+    d2 = direction_profile(classify(m2, PlaceSet(primes=(2,))))
     for lbl in d.units:
         assert all(abs(x - y) < 1e-10 for x, y in zip(d.units[lbl], d2.units[lbl]))
     for pair in d.angles:
@@ -318,11 +334,11 @@ def test_direction_profile_examples():
 
     # single place: no angles
     fib = SqMatrix([[2, 1], [1, 1]])
-    d3 = direction_profile(fib, PlaceSet(primes=()))
+    d3 = direction_profile(classify(fib, PlaceSet(primes=())))
     assert d3.angles == {}
 
     with pytest.raises(NotBallistic):
-        direction_profile(SqMatrix([[1, 1], [0, 1]]), PlaceSet(primes=()))
+        direction_profile(classify(SqMatrix([[1, 1], [0, 1]]), PlaceSet(primes=())))
 
 
 def test_classification_totality_on_corpus():

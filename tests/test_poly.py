@@ -88,10 +88,10 @@ _dense = st.tuples(
 
 _factor_blocks = st.one_of(
     st.integers(1, 30).map(cyclotomic),
-    st.fractions(-12, 12, max_denominator=6).map(Poly.x_minus),
+    st.fractions(-12, 12, max_denominator=6).map(lambda a: Poly([-a, 1])),
     st.integers(-30, 30).map(lambda t: Poly([1, -t, 1])),
     st.sampled_from([X4_10X2_1, SWINNERTON_DYER_235]),
-    st.integers(1, 3).map(Poly.x_power),
+    st.integers(1, 3).map(lambda k: Poly([0] * k + [1])),
     _dense,
 )
 

@@ -96,23 +96,56 @@ def test_cli_classify_ballistic_report_shape():
 
 
 def test_cli_classify_direction_computes_one_charpoly(monkeypatch):
-    # classify, drift_profile, direction_profile and is_diagonalizable all
-    # read the charpoly of the same matrix; it is computed once and kept on it
+    # the report, its drift and its direction come from one classify call:
+    # one charpoly, one det-1 and one place check, one Newton polygon per
+    # prime, one cyclotomic split and one diagonalizability test
+    import flatcert.cli as cli
     import flatcert.linalg as linalg
+    import flatcert.places as places
 
-    calls = []
-    berkowitz = linalg._berkowitz
+    word, calls = [], {}
 
-    def counting(a):
-        calls.append(a)
-        return berkowitz(a)
+    def counting(module, name, of_word=lambda *args: True):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(linalg, "_berkowitz", counting)
-    session = json.dumps({"generators": {"a": [["2", "1"], ["1", "1"]]}})
+        def counted(*args, **kwargs):
+            if word and of_word(*args):
+                calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def evaluated(*args):
+        word.append(word_eval(*args))
+        return word[-1]
+
+    word_eval = cli.word_eval
+    monkeypatch.setattr(cli, "word_eval", evaluated)
+    counting(linalg, "_berkowitz")
+    counting(places, "_check_det_one", lambda m, *_: m is word[0])
+    counting(places, "_check_places_complete", lambda m, *_: m is word[0])
+    counting(places, "_cyclotomic_split")
+    counting(places, "is_diagonalizable", lambda m: m is word[0])
+    slopes = []
+    newton = places.newton_slopes
+    monkeypatch.setattr(places, "newton_slopes", lambda cp, p: slopes.append(p) or newton(cp, p))
+    places._charpoly_drift.cache_clear()
+    # b only adds the prime 2 to the place set
+    session = json.dumps(
+        {"generators": {"a": [["2", "1"], ["1", "1"]], "b": [["2", "0"], ["0", "1/2"]]}}
+    )
     res = _run(["-i", "session.json", "classify", "--direction", "a"], session=session)
     assert res.exit_code == 0
-    assert json.loads(res.output)["tag"] == "Ballistic"
-    assert len(calls) == 1
+    doc = json.loads(res.output)
+    assert doc["tag"] == "Ballistic" and set(doc["direction"]["norms"]) == {"arch", "2"}
+    assert calls == {
+        "_berkowitz": 1,
+        "_check_det_one": 1,
+        "_check_places_complete": 1,
+        "_cyclotomic_split": 1,
+        "is_diagonalizable": 1,
+    }
+    assert slopes == [2]
 
 
 def test_in_process_calls_release_their_streams(tmp_path):
