@@ -8,7 +8,6 @@ graph-manifold representations restricted to their JSJ tori.
 """
 
 from .exact import (
-    FieldElement,
     NewtonSlopes,
     NumberField,
     Poly,
@@ -28,7 +27,6 @@ from .flats import (
     gram,
     length_sq,
     tits_angle,
-    verify_commuting,
 )
 from .linalg import (
     BlockDecomposition,
@@ -40,6 +38,7 @@ from .linalg import (
     is_diagonalizable,
     is_unipotent,
     kernel_basis,
+    verify_commuting,
 )
 from .manifold import (
     GluingSpec,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly",
     "NumberField",
-    "FieldElement",
     "NewtonSlopes",
     "make_field",
     "factor_q",

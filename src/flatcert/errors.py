@@ -28,14 +28,6 @@ class NotIrreducible(FlatcertError):
         super().__init__(f"polynomial {poly} is reducible; factor: {factor}")
 
 
-class DivideByZero(FlatcertError):
-    module = "exact"
-
-
-class FieldMismatch(FlatcertError):
-    module = "exact"
-
-
 class ToleranceNotReached(FlatcertError):
     module = "exact"
 

@@ -3,7 +3,7 @@ factorization, root isolation, Newton polygons, integer factorization."""
 
 from .integers import euler_phi, is_prime, padic_valuation, prime_factors
 from .newton import NewtonSlopes, newton_slopes
-from .numberfield import FieldElement, NumberField, make_field
+from .numberfield import NumberField, make_field
 from .poly import (
     Poly,
     cyclotomic,
@@ -22,7 +22,6 @@ __all__ = [
     "cyclotomic",
     "cyclotomic_index",
     "NumberField",
-    "FieldElement",
     "make_field",
     "NewtonSlopes",
     "newton_slopes",

@@ -3,17 +3,18 @@
 Coefficients are stored lowest degree first, matching the wire format used
 by the CLI.  Everything here is immutable and exact; the only floating
 point in the package lives in the root isolator and in archimedean drift.
-The squarefree split and factorization over Q run on the primitive integer
-multiple of a polynomial, as a plain coefficient list.
+Poly has ring operations only: exact division, the squarefree split and
+factorization over Q run on the primitive integer multiple of a
+polynomial, as a plain coefficient list.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from ..errors import NotIrreducible, NotMonic
 from .integers import is_prime
 
 __all__ = [
@@ -116,30 +117,6 @@ class Poly:
             k >>= 1
         return result
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact division with remainder over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= d:
-            return Poly(), Poly(rem)
-        quot = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            quot[i - d] = c
-            if c:
-                for j in range(d + 1):
-                    rem[i - d + j] -= c * other.coeffs[j]
-        return Poly(quot), Poly(rem[:d])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
@@ -147,18 +124,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, float and complex points."""
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = c if not isinstance(x, complex) else complex(c)
-            else:
-                acc = acc * x + (c if not isinstance(x, complex) else complex(c))
-        if acc is None:
-            return 0 * x
-        return acc
 
     def __repr__(self):
         if self.is_zero():
@@ -443,22 +408,16 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     return out + [f]
 
 
-_cyclotomic_cache: dict[int, Poly] = {}
-
-
+@functools.cache
 def cyclotomic(k: int) -> Poly:
-    """k-th cyclotomic polynomial, computed by exact division of x^k - 1."""
+    """k-th cyclotomic polynomial, by exact division of x^k - 1 over Z."""
     if k < 1:
         raise ValueError("cyclotomic index must be positive")
-    cached = _cyclotomic_cache.get(k)
-    if cached is not None:
-        return cached
-    num = Poly([-1] + [0] * (k - 1) + [1])  # x^k - 1
+    num = [-1] + [0] * (k - 1) + [1]  # x^k - 1
     for d in range(1, k):
         if k % d == 0:
-            num = num // cyclotomic(d)
-    _cyclotomic_cache[k] = num
-    return num
+            num = _divide(num, [int(c) for c in cyclotomic(d).coeffs])
+    return Poly(num)
 
 
 def cyclotomic_index(q: Poly, bound: int) -> int | None:

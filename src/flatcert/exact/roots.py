@@ -125,12 +125,10 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[RootCluster]:
         raise ValueError("tolerance must be positive")
     clusters: list[RootCluster] = []
     for factor, mult in squarefree_decomposition(p):
-        zero_order = 0
-        while factor[0] == 0 and factor.degree > 0:
-            zero_order += 1
-            factor = factor // Poly([0, 1])
+        zero_order = next(i for i, c in enumerate(factor.coeffs) if c)
         if zero_order:
             clusters.append(RootCluster(0j, 0.0, zero_order * mult))
+            factor = Poly(factor.coeffs[zero_order:])
         for z, bound in _aberth(factor.monic(), tol):
             clusters.append(RootCluster(z, bound, mult))
     clusters.sort(key=lambda c: (-c.multiplicity, c.value.real, c.value.imag))

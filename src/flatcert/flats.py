@@ -18,16 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, NotCommuting, NumericalInconclusive
-from .linalg import SqMatrix, kernel_basis
+from .linalg import SqMatrix, kernel_basis, verify_commuting
 from .places import Classification, PlaceSet, classify, discover_places, drift_profile
 from .words import power_word
 
 __all__ = [
-    "CommutationWitness",
     "CommutingFamily",
     "GramData",
     "FlatCertificate",
-    "verify_commuting",
     "length_sq",
     "gram",
     "flat_certificate",
@@ -36,22 +34,6 @@ __all__ = [
 ]
 
 PD_EPSILON = 1e-8
-
-
-@dataclass(frozen=True)
-class CommutationWitness:
-    i: str
-    j: str
-    commutator: SqMatrix
-
-
-def verify_commuting(named_gens: list[tuple[str, SqMatrix]]) -> CommutationWitness | None:
-    """Exact pairwise commutation check; None when all pairs commute."""
-    for (ni, a), (nj, b) in itertools.combinations(named_gens, 2):
-        ab, ba = a * b, b * a
-        if ab != ba:
-            return CommutationWitness(ni, nj, ab * ba.inverse())
-    return None
 
 
 @dataclass(frozen=True)

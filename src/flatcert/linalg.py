@@ -9,10 +9,12 @@ result.  Inverses and determinants use fraction-free Bareiss elimination
 Berkowitz on ``num`` (the test suite cross-checks against Faddeev-LeVerrier
 and determinant interpolation) and are kept on the matrix after the first
 call; kernels come from Bareiss forward elimination.  A matrix over
-Q(alpha) is only ever an entry grid: embed_regular checks its determinant
-in the field and folds it into a rational matrix by the regular
-representation.  Commuting families are split into blocks on which every
-generator's characteristic polynomial is a power of a single Q-irreducible.
+Q(alpha) is only ever a grid of regular_matrix blocks, one per entry:
+embed_regular decides its determinant in the field by elimination over
+the commuting blocks, and tiles the blocks into one rational matrix.
+Commuting families are checked pairwise (verify_commuting) and split into
+blocks on which every generator's characteristic polynomial is a power of
+a single Q-irreducible.
 """
 
 from __future__ import annotations
@@ -33,11 +35,14 @@ __all__ = [
     "SqMatrix",
     "charpoly",
     "embed_regular",
+    "regular_matrix",
     "kernel_basis",
     "is_unipotent",
     "is_diagonalizable",
     "finite_order",
     "order_bound",
+    "CommutationWitness",
+    "verify_commuting",
     "BlockDecomposition",
     "block_decompose",
     "poly_at_matrix",
@@ -287,16 +292,36 @@ def _berkowitz(a) -> list[int]:
     return p
 
 
+def regular_matrix(coords, field: NumberField) -> SqMatrix:
+    """The d x d rational matrix of multiplication by the element of
+    Q(alpha) with power-basis coordinates coords (at most d of them).
+
+    It is sum_i coords[i] C^i for C the companion matrix of the minpoly:
+    column j holds the coordinates of the element times alpha^j, so the
+    first column is coords itself.  These matrices form a field isomorphic
+    to Q(alpha); they commute, and every nonzero one is invertible.
+    """
+    d, m = field.degree, field.minpoly.coeffs
+    col = [Fraction(c) for c in coords] + [Fraction(0)] * (d - len(coords))
+    cols = [col]
+    for _ in range(d - 1):
+        # times alpha: shift up, and reduce alpha^d = -(m_0 + ... + m_(d-1) alpha^(d-1))
+        top = col[-1]
+        col = [-top * m[0]] + [c - top * mi for c, mi in zip(col, m[1:d])]
+        cols.append(col)
+    return SqMatrix(list(zip(*cols)))
+
+
 def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
     """The rational SL matrix of a det-1 entry grid.
 
     Over Q (field None) the entries are rationals and the result is
-    SqMatrix(rows).  Over Q(alpha) they are FieldElements, and each becomes
-    its d x d regular representation: the output is an (n*d) x (n*d)
-    rational matrix whose characteristic polynomial is the product of all
-    embeddings of the field charpoly.  det = 1 is checked exactly before
-    embedding, in the entry field: the embedded determinant is only the
-    norm of the field determinant, which can be 1 when det is not.
+    SqMatrix(rows).  Over Q(alpha) they are regular_matrix blocks, and the
+    output is the (n*d) x (n*d) rational matrix they tile, whose
+    characteristic polynomial is the product of all embeddings of the field
+    charpoly.  det = 1 is checked exactly before embedding, in the field,
+    by _block_det: the embedded determinant is only the norm of the field
+    determinant, which can be 1 when det is not.
     """
     if field is None:
         m = SqMatrix(rows)
@@ -306,39 +331,41 @@ def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
     rows = [list(r) for r in rows]
     if any(len(r) != len(rows) for r in rows):
         raise DimensionMismatch("matrix is not square")
-    det = _field_det(rows, field)
-    if det != 1:
-        raise DeterminantNotOne(det=det)
+    det = _block_det(rows)
+    if not det.is_identity():
+        raise DeterminantNotOne(det=f"[{', '.join(str(det[i, 0]) for i in range(det.n))}]")
     d = field.degree
-    blocks = [[x.regular_matrix() for x in r] for r in rows]
-    return SqMatrix(
-        [[b[bi][bj] for b in brow for bj in range(d)] for brow in blocks for bi in range(d)]
+    den = math.lcm(*(b.den for r in rows for b in r))
+    return SqMatrix._over(
+        tuple(
+            tuple(x * (den // b.den) for b in brow for x in b.num[i])
+            for brow in rows
+            for i in range(d)
+        ),
+        den,
     )
 
 
-def _field_det(rows, field: NumberField):
-    """Plain Gaussian elimination determinant of a grid over a number field."""
-    n = len(rows)
+def _block_det(rows) -> SqMatrix:
+    """The regular block of the determinant of a grid of regular blocks, by
+    Gaussian elimination: the blocks commute, and a nonzero one is a unit."""
+    n, d = len(rows), rows[0][0].n
     a = [list(r) for r in rows]
-    det = field.one
+    det = SqMatrix.identity(d)
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if any(map(any, a[r][col].num))), None)
         if piv is None:
-            return field.zero
+            return det.scale(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
+            det = det.scale(-1)
         p = a[col][col]
         det = det * p
-        pinv = field.one / p
+        pinv = p.inverse()
         for r in range(col + 1, n):
-            if a[r][col] != 0:
+            if any(map(any, a[r][col].num)):
                 f = a[r][col] * pinv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                a[r][col + 1 :] = [x - f * y for x, y in zip(a[r][col + 1 :], a[col][col + 1 :])]
     return det
 
 
@@ -447,7 +474,25 @@ def finite_order(m: SqMatrix, bound: int | None = None) -> int | None:
     return None
 
 
-# -- simultaneous block decomposition ---------------------------------------
+# -- commuting families ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CommutationWitness:
+    """A pair that does not commute, with its group commutator ab(ba)^-1."""
+
+    i: str
+    j: str
+    commutator: SqMatrix
+
+
+def verify_commuting(named_gens: list[tuple[str, SqMatrix]]) -> CommutationWitness | None:
+    """Exact pairwise commutation check; None when all pairs commute."""
+    for (ni, a), (nj, b) in itertools.combinations(named_gens, 2):
+        ab, ba = a * b, b * a
+        if ab != ba:
+            return CommutationWitness(ni, nj, ab * ba.inverse())
+    return None
 
 
 @dataclass(frozen=True)
@@ -552,7 +597,6 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecompositio
     conjugator has determinant exactly 1 (a diagonal correction inside the
     first block absorbs the scaling).
     """
-    names = [nm for nm, _ in gens_named]
     gens = [g for _, g in gens_named]
     if not gens:
         raise ValueError("empty generator list")
@@ -560,9 +604,9 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecompositio
     for g in gens:
         if g.n != n:
             raise DimensionMismatch("generators of different dimensions")
-    for (i, a), (j, b) in itertools.combinations(enumerate(gens), 2):
-        if not a.commutes_with(b):
-            raise NotCommuting(names[i], names[j], a * b - b * a)
+    witness = verify_commuting(gens_named)
+    if witness is not None:
+        raise NotCommuting(witness.i, witness.j, witness.commutator)
 
     pieces = _split_recursive(gens)
     keyed = []

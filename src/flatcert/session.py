@@ -3,11 +3,11 @@
 A session is JSON with an optional number-field minpoly (coefficient
 strings, lowest degree first) and named det-1 generator matrices; entries
 are exact scalar strings "p/q" over Q, or coordinate arrays in the power
-basis over Q(alpha).  Parsing yields square entry grids (Fractions over Q,
-FieldElements over Q(alpha)); embed_regular checks det = 1 in the entry
-field and folds each grid into a rational SqMatrix, by the regular
-representation over Q(alpha), so every downstream computation sees
-rational matrices only.
+basis over Q(alpha).  Parsing yields square entry grids: Fractions over Q,
+and over Q(alpha) the d x d regular matrix of each entry, built straight
+from its coordinates.  embed_regular checks det = 1 (over Q(alpha) by block
+elimination, in the field) and folds each grid into one rational SqMatrix,
+so every downstream computation sees rational matrices only.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, DimensionMismatch, ParseError
-from .exact.numberfield import FieldElement, NumberField, make_field
+from .exact.numberfield import NumberField, make_field
 from .exact.poly import Poly
-from .linalg import SqMatrix, embed_regular
+from .linalg import SqMatrix, embed_regular, regular_matrix
 from .manifold import GluingSpec, GraphRep, TorusRep
 from .places import PlaceSet, discover_places
 from .words import NAME_RE
@@ -49,23 +49,23 @@ def _rational(value) -> Fraction:
 
 
 def parse_scalar(value, field: NumberField | None):
-    """One matrix entry: "p/q" string (or int) over Q, coordinate list over
-    Q(alpha)."""
+    """One matrix entry: "p/q" string (or int) over Q; over Q(alpha), the
+    regular matrix of a rational or of a coordinate list."""
     if isinstance(value, bool):
         raise ParseError(0, "a scalar string", value)
     if isinstance(value, (str, int)):
         q = _rational(value)
-        return q if field is None else field.from_rational(q)
+        return q if field is None else regular_matrix([q], field)
     if isinstance(value, list):
         if field is None:
             raise ParseError(0, "a rational string (no number field declared)", value)
         if len(value) > field.degree:
             raise ParseError(0, f"at most {field.degree} field coordinates", value)
-        return field.element([_rational(c) for c in value])
+        return regular_matrix([_rational(c) for c in value], field)
     raise ParseError(0, "a scalar string or coordinate array", value)
 
 
-def parse_matrix(rows, field: NumberField | None) -> list[list[Fraction | FieldElement]]:
+def parse_matrix(rows, field: NumberField | None) -> list[list[Fraction | SqMatrix]]:
     """The square entry grid of a matrix document."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(0, "a nonempty array of matrix rows", rows)
@@ -81,7 +81,7 @@ class SessionSpec:
     embeddings, and the discovered places of the embedded family."""
 
     field: NumberField | None
-    generators: dict[str, list[list[Fraction | FieldElement]]]
+    generators: dict[str, list[list[Fraction | SqMatrix]]]
     embedded: dict[str, SqMatrix]
     places: PlaceSet
 

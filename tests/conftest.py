@@ -190,27 +190,29 @@ def charpoly_interpolation(m: SqMatrix) -> Poly:
 # that they do not rest on the code they check.
 
 
+def to_sympy(p: Poly) -> sympy.Poly:
+    x = sympy.Symbol("x")
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ"
+    )
+
+
+def from_sympy(f: sympy.Poly) -> Poly:
+    return Poly([F(c.numerator, c.denominator) for c in reversed(f.all_coeffs())])
+
+
 def sympy_factor(p: Poly) -> list[tuple[Poly, int]]:
     """factor_q's contract by sympy's factor_list: [(monic irreducible
     factor over Q, multiplicity)], sorted by (degree, coefficient tuple)."""
-    x = sympy.Symbol("x")
-    sp = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ"
-    )
-    out = [
-        (Poly([F(c.numerator, c.denominator) for c in reversed(f.all_coeffs())]).monic(), int(m))
-        for f, m in sp.factor_list()[1]
-    ]
+    out = [(from_sympy(f).monic(), int(m)) for f, m in to_sympy(p).factor_list()[1]]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q by the Euclidean algorithm on Fraction
-    coefficients, independent of flatcert's integer remainder sequences."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over Q by sympy, independent of flatcert's integer
+    remainder sequences."""
+    return from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))).monic()
 
 
 # -- quasi-unipotent order oracle, by factorization over Q -----------------

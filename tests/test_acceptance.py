@@ -37,7 +37,7 @@ from flatcert import (
 from flatcert import Poly
 from flatcert.cli import main as cli_main
 from flatcert.exact.integers import padic_valuation
-from flatcert.linalg import block_decompose
+from flatcert.linalg import block_decompose, regular_matrix
 
 from conftest import det1_corpus, random_diag_23, unimodular, unimodular_2x2
 
@@ -217,8 +217,8 @@ def test_criterion_08_graph_checker_cli():
 
 def test_criterion_09_regular_representation_consistency():
     field = make_field(Poly([-2, 0, 1]))
-    r2 = field.generator
-    big = embed_regular([[r2, field.zero], [field.zero, r2.inverse()]], field)
+    r2, zero = regular_matrix([0, 1], field), regular_matrix([], field)
+    big = embed_regular([[r2, zero], [zero, r2.inverse()]], field)
     places = discover_places([big])
     prof = drift_profile(big, places)
     half = 0.5 * math.log(2)

@@ -39,6 +39,7 @@ def test_noncommuting_rejected():
         block_decompose([("a", a), ("b", b)])
     assert {exc.value.i, exc.value.j} == {"a", "b"}
     assert not exc.value.commutator.is_identity()
+    assert exc.value.commutator == a * b * (b * a).inverse()  # the group commutator
 
 
 def _random_commuting_family(rng: random.Random):

@@ -266,8 +266,6 @@ def test_error_report_bytes_outside_the_commands(exc, expected):
 ERROR_MODULES = {
     "NotMonic": "exact",
     "NotIrreducible": "exact",
-    "DivideByZero": "exact",
-    "FieldMismatch": "exact",
     "ToleranceNotReached": "exact",
     "ZeroConstantTerm": "exact",
     "DeterminantNotOne": "linalg",

@@ -1,9 +1,12 @@
-"""Exact PSD check, null-vector rationalization, the serial pmap, and the
-names each module exports."""
+"""Exact PSD check, null-vector rationalization, the serial pmap, the
+names each module exports, and the layering of the exact package."""
 
+import ast
 import importlib
 import pkgutil
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import flatcert
 
@@ -80,3 +83,35 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert len(modules) > 10 and missing == []
+
+
+def test_exact_imports_only_exact_errors_and_stdlib():
+    """flatcert.exact is the bottom layer: linalg imports it, never the
+    other way round, so a cycle shows here rather than at import time."""
+    exact = Path(flatcert.__file__).parent / "exact"
+    outside = []
+    for path in sorted(exact.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                base = ["flatcert", "exact"][: 3 - node.level]
+                if node.module:
+                    targets = [".".join(base + [node.module])]
+                else:
+                    targets = [".".join(base + [alias.name]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {t}"
+                for t in targets
+                if not (
+                    t.split(".")[0] in sys.stdlib_module_names
+                    or t == "flatcert.errors"
+                    or t == "flatcert.exact"
+                    or t.startswith("flatcert.exact.")
+                )
+            ]
+    assert outside == []

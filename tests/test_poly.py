@@ -13,14 +13,6 @@ from flatcert import Poly, cyclotomic, factor_q, squarefree_part
 from flatcert.exact.poly import cyclotomic_index, squarefree_decomposition
 
 
-def test_divmod_exact():
-    p = Poly([1, 0, -5, 0, 1])  # x^4 - 5x^2 + 1
-    d = Poly([-2, 1])
-    q, r = p.divmod(d)
-    assert q * d + r == p
-    assert r.degree < d.degree
-
-
 def test_squarefree_part_examples():
     # (x-1)^2 -> x-1
     assert squarefree_part(Poly([-1, 1]) ** 2) == Poly([-1, 1])
@@ -136,11 +128,3 @@ def test_cyclotomic_index():
     assert cyclotomic_index(Poly([1, -1, 1]), 12) == 6
     # x^2 - 3x + 1 has a root off the unit circle
     assert cyclotomic_index(Poly([1, -3, 1]), 12) is None
-
-
-def test_poly_eval_horner():
-    p = Poly([1, -3, 1])
-    assert p(F(2)) == F(-1)
-    assert p(0) == 1
-    z = p(complex(2.0))
-    assert abs(z - (-1.0)) < 1e-12

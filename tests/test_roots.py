@@ -40,12 +40,14 @@ def test_triple_root_cluster():
 
 def test_against_numpy_roots():
     rng = random.Random(31)
+    inputs = [Poly([0, 0, -1, 1])]  # x^3 - x^2: 0 twice, split off exactly
     for _ in range(40):
         deg = rng.randint(1, 7)
         coeffs = [F(rng.randint(-6, 6)) for _ in range(deg)] + [F(1)]
         while coeffs[0] == 0:
             coeffs[0] = F(rng.randint(1, 6))
-        p = Poly(coeffs)
+        inputs.append(Poly(coeffs))
+    for p in inputs:
         mine = _sorted_values(complex_roots(p, 1e-10))
         ref = sorted(
             np.roots([float(c) for c in reversed(p.coeffs)]),
