@@ -84,12 +84,6 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
@@ -102,8 +96,6 @@ class Poly:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
