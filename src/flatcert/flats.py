@@ -215,7 +215,10 @@ def _eigh(g) -> tuple[list[float], list[tuple[float, ...]]]:
     """Ascending eigenvalues and unit eigenvectors of a small symmetric
     float matrix, by cyclic Jacobi rotations."""
     n = len(g)
-    a = [list(row) for row in g]
+    # a power-of-two scale to unit size is exact and leaves every rotation
+    # angle as it is, and keeps a subnormal Gram from losing its precision
+    e = math.frexp(max((abs(x) for row in g for x in row), default=0.0))[1]
+    a = [[math.ldexp(x, -e) for x in row] for row in g]
     v = [[float(i == j) for j in range(n)] for i in range(n)]
     tiny = 2.0**-60 * math.sqrt(sum(x * x for row in a for x in row))
     pairs = list(itertools.combinations(range(n), 2))
@@ -234,7 +237,7 @@ def _eigh(g) -> tuple[list[float], list[tuple[float, ...]]]:
                 row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
             a[p][q] = a[q][p] = 0.0
     order = sorted(range(n), key=lambda k: a[k][k])
-    return [a[k][k] for k in order], [tuple(row[k] for row in v) for k in order]
+    return [math.ldexp(a[k][k], e) for k in order], [tuple(row[k] for row in v) for k in order]
 
 
 def _null_candidates(

@@ -280,4 +280,4 @@ def test_gram_decisions_match_numpy_oracle(combined, pd_epsilon):
         gap = min((abs(wn[k] - wn[j]) for j in range(r) if j != k), default=norm)
         if gap > 1e-6 * norm:
             err = min(max(abs(x - s * y) for x, y in zip(v[k], vn[k])) for s in (1, -1))
-            assert err <= 1e-12 * norm / gap
+            assert err <= 1e-12 * (norm / gap)
