@@ -21,9 +21,9 @@ from flatcert import (
     make_field,
     word_eval,
 )
-from flatcert.linalg import regular_matrix
 from flatcert.errors import DeterminantNotOne, UnknownGenerator
 from flatcert.exact.roots import complex_roots, expand_roots
+from flatcert.linalg import regular_matrix
 
 from conftest import (
     charpoly_faddeev_leverrier,
