@@ -5,110 +5,55 @@ Element classification (unipotent / finite order / virtually unipotent /
 ballistic), per-place drift vectors, thick-flat lattice certificates for
 commuting families, and NPC certificates or unipotent obstructions for
 graph-manifold representations restricted to their JSJ tori.
+
+Names are exported lazily (PEP 562): ``import flatcert`` loads no
+submodule, and each public name or submodule is imported on first access,
+so a CLI call compiles only the modules its subcommand runs.
 """
 
-from .exact import (
-    NewtonSlopes,
-    NumberField,
-    Poly,
-    complex_roots,
-    cyclotomic,
-    factor_q,
-    make_field,
-    newton_slopes,
-    prime_factors,
-    squarefree_part,
-)
-from .flats import (
-    CommutingFamily,
-    FlatCertificate,
-    GramData,
-    flat_certificate,
-    gram,
-    length_sq,
-    tits_angle,
-)
-from .linalg import (
-    BlockDecomposition,
-    SqMatrix,
-    block_decompose,
-    charpoly,
-    embed_regular,
-    finite_order,
-    is_diagonalizable,
-    is_unipotent,
-    kernel_basis,
-    verify_commuting,
-)
-from .manifold import (
-    GluingSpec,
-    GraphRep,
-    NpcResult,
-    TorusRep,
-    gluing_covariance,
-    npc_certificate,
-    validate,
-)
-from .places import (
-    Classification,
-    DriftProfile,
-    PlaceSet,
-    classify,
-    direction_profile,
-    discover_places,
-    drift_profile,
-)
-from .session import parse_graph, parse_session
-from .words import parse_word, render_word, word_eval
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Poly",
-    "NumberField",
-    "NewtonSlopes",
-    "make_field",
-    "factor_q",
-    "squarefree_part",
-    "complex_roots",
-    "newton_slopes",
-    "prime_factors",
-    "cyclotomic",
-    "SqMatrix",
-    "BlockDecomposition",
-    "charpoly",
-    "embed_regular",
-    "kernel_basis",
-    "is_unipotent",
-    "is_diagonalizable",
-    "finite_order",
-    "block_decompose",
-    "PlaceSet",
-    "DriftProfile",
-    "Classification",
-    "discover_places",
-    "drift_profile",
-    "classify",
-    "direction_profile",
-    "CommutingFamily",
-    "GramData",
-    "FlatCertificate",
-    "verify_commuting",
-    "length_sq",
-    "gram",
-    "flat_certificate",
-    "tits_angle",
-    "TorusRep",
-    "GluingSpec",
-    "GraphRep",
-    "NpcResult",
-    "validate",
-    "npc_certificate",
-    "gluing_covariance",
-    "parse_session",
-    "parse_graph",
-    "parse_word",
-    "render_word",
-    "word_eval",
-    "__version__",
-]
+# public name -> submodule that defines it, in the order of __all__
+_EXPORTS = {
+    "Poly": "exact", "NumberField": "exact", "NewtonSlopes": "exact", "make_field": "exact",
+    "factor_q": "exact", "squarefree_part": "exact", "complex_roots": "exact",
+    "newton_slopes": "exact", "prime_factors": "exact", "cyclotomic": "exact",
+    "SqMatrix": "linalg", "BlockDecomposition": "blocks", "charpoly": "linalg",
+    "embed_regular": "linalg", "kernel_basis": "blocks", "is_unipotent": "linalg",
+    "is_diagonalizable": "linalg", "finite_order": "linalg", "block_decompose": "blocks",
+    "PlaceSet": "places", "DriftProfile": "places", "Classification": "places",
+    "discover_places": "places", "drift_profile": "places", "classify": "places",
+    "direction_profile": "places",
+    "CommutingFamily": "flats", "GramData": "flats", "FlatCertificate": "flats",
+    "verify_commuting": "blocks", "length_sq": "flats", "gram": "flats",
+    "flat_certificate": "flats", "tits_angle": "flats",
+    "TorusRep": "manifold", "GluingSpec": "manifold", "GraphRep": "manifold",
+    "NpcResult": "manifold", "validate": "manifold", "npc_certificate": "manifold",
+    "gluing_covariance": "manifold",
+    "parse_session": "session", "parse_graph": "session",
+    "parse_word": "words", "render_word": "words", "word_eval": "words",
+}
+
+_SUBMODULES = frozenset(
+    ("blocks", "cli", "errors", "exact", "flats", "linalg", "manifold", "parallel", "places",
+     "report", "session", "words")
+)
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -4,6 +4,11 @@ Exit codes: 0 for a certificate or plain report, 2 for an obstruction or
 degenerate certificate, 1 for any error.  Reports are byte-stable for
 identical inputs: keys sorted, floats at 12 significant digits, rationals
 as exact strings.
+
+Every command parses its input and renders a report, so session, report and
+the modules that session loads (exact, linalg, places, words) are imported
+with the CLI.  blocks, flats and manifold are imported by the commands
+that run them, so that a cold call compiles no module it does not use.
 """
 
 from __future__ import annotations
@@ -14,9 +19,6 @@ import sys
 import click
 
 from . import errors
-from .flats import CommutingFamily, flat_certificate
-from .linalg import block_decompose
-from .manifold import InvalidGraphRep, graph_certificate
 from .places import classify as classify_element
 from .places import direction_profile
 from .report import (
@@ -147,6 +149,8 @@ def classify(opts: Options, word, direction):
 @click.pass_obj
 def decompose(opts: Options, names):
     """Simultaneous block decomposition of the named commuting generators."""
+    from .blocks import block_decompose
+
     d = block_decompose(_named(opts.session(), names))
     report = {
         "conjugator": _matrix_dict(d.conjugator),
@@ -172,6 +176,8 @@ def decompose(opts: Options, names):
 @click.pass_obj
 def flat(opts: Options, names):
     """Thick-flat lattice certificate for the named commuting generators."""
+    from .flats import CommutingFamily, flat_certificate
+
     spec = opts.session()
     family = CommutingFamily.build(_named(spec, names), places=spec.places)
     cert = flat_certificate(family, opts.pd_epsilon, tol=opts.tolerance)
@@ -184,6 +190,8 @@ def flat(opts: Options, names):
 def graph(opts: Options, file):
     """NPC certificate or unipotent obstruction for a graph-manifold
     representation file."""
+    from .manifold import InvalidGraphRep, graph_certificate
+
     rep = parse_graph(_read(file))
     try:
         result, reports = graph_certificate(rep, opts.pd_epsilon, tol=opts.tolerance)

@@ -12,7 +12,7 @@ from .poly import (
     squarefree_decomposition,
     squarefree_part,
 )
-from .roots import RootCluster, complex_roots, expand_roots
+from .roots import RootCluster, complex_roots
 
 __all__ = [
     "Poly",
@@ -27,7 +27,6 @@ __all__ = [
     "newton_slopes",
     "RootCluster",
     "complex_roots",
-    "expand_roots",
     "prime_factors",
     "is_prime",
     "padic_valuation",

@@ -17,7 +17,7 @@ import math
 from ..errors import ToleranceNotReached
 from .poly import Poly, squarefree_decomposition
 
-__all__ = ["complex_roots", "expand_roots", "RootCluster"]
+__all__ = ["complex_roots", "RootCluster"]
 
 MAX_ITERATIONS = 1000
 
@@ -116,8 +116,7 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[RootCluster]:
     """All deg(p) complex roots with error bounds <= tol and multiplicities.
 
     Roots are ordered by (-multiplicity, real, imag) and repeated roots are
-    reported once per cluster with their multiplicity; the flat multiset is
-    available via expand_roots.
+    reported once per cluster with their multiplicity.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
@@ -134,11 +133,3 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[RootCluster]:
     clusters.sort(key=lambda c: (-c.multiplicity, c.value.real, c.value.imag))
     assert sum(c.multiplicity for c in clusters) == p.degree
     return clusters
-
-
-def expand_roots(clusters: list[RootCluster]) -> list[tuple[complex, float]]:
-    """Flatten clusters to a multiset of (approximation, bound) pairs."""
-    out = []
-    for c in clusters:
-        out.extend([(c.value, c.bound)] * c.multiplicity)
-    return out

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, NotCommuting, NumericalInconclusive
-from .linalg import SqMatrix, kernel_basis, verify_commuting
+from .blocks import kernel_basis, verify_commuting
+from .linalg import SqMatrix
 from .places import Classification, PlaceSet, classify, discover_places, drift_profile
 from .words import power_word
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .flats import FlatCertificate
-from .manifold import GluingReport, NpcResult
-from .places import Classification, DirectionProfile, DriftProfile, PlaceSet
 from .session import fraction_str
+
+if TYPE_CHECKING:
+    from .flats import FlatCertificate
+    from .manifold import GluingReport, NpcResult
+    from .places import Classification, DirectionProfile, DriftProfile, PlaceSet
 
 __all__ = [
     "render_json",

@@ -15,14 +15,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DeterminantNotOne, DimensionMismatch, ParseError
 from .exact.numberfield import NumberField, make_field
 from .exact.poly import Poly
 from .linalg import SqMatrix, embed_regular, regular_matrix
-from .manifold import GluingSpec, GraphRep, TorusRep
 from .places import PlaceSet, discover_places
 from .words import NAME_RE
+
+if TYPE_CHECKING:
+    from .manifold import GraphRep
 
 __all__ = [
     "SessionSpec",
@@ -153,6 +156,8 @@ def _string(value, expected: str) -> str:
 
 def parse_graph(text: str) -> GraphRep:
     """Parse a graph-representation document into embedded rational form."""
+    from .manifold import GluingSpec, GraphRep, TorusRep
+
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError(0, "a JSON object", type(doc).__name__)

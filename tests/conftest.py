@@ -8,7 +8,7 @@ import numpy as np
 import sympy
 
 from flatcert import Poly, SqMatrix
-from flatcert.exact import complex_roots, cyclotomic_index
+from flatcert.exact import RootCluster, complex_roots, cyclotomic_index
 from flatcert.linalg import order_bound
 
 DET1_ENTRIES = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]
@@ -64,6 +64,26 @@ def random_diag_23(rng: random.Random, n: int, exp_range=(-1, 1)) -> SqMatrix:
         diag.append(F(2) ** a * F(3) ** b)
     diag.append(F(2) ** (-ta) * F(3) ** (-tb))
     return SqMatrix.diagonal(diag)
+
+
+# -- Poly sums and scalar multiples, which the program never forms ----------
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly([a[i] + b[i] for i in range(n)])
+
+
+def poly_scale(p: Poly, c) -> Poly:
+    return Poly([x * c for x in p.coeffs])
+
+
+def expand_roots(clusters: list[RootCluster]) -> list[tuple[complex, float]]:
+    """Flatten root clusters to a multiset of (approximation, bound) pairs."""
+    out = []
+    for c in clusters:
+        out.extend([(c.value, c.bound)] * c.multiplicity)
+    return out
 
 
 # -- Fraction-grid oracles, independent of SqMatrix's integer rows ---------
@@ -180,7 +200,7 @@ def charpoly_interpolation(m: SqMatrix) -> Poly:
             if i != j:
                 term = term * Poly([-xj, 1])
                 denom *= xi - xj
-        result = result + term * (ys[i] / denom)
+        result = poly_add(result, poly_scale(term, ys[i] / denom))
     return result
 
 

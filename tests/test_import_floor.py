@@ -1,9 +1,11 @@
 """Neither numpy nor sympy is ever loaded: factoring over Q is flatcert's
-own, so number-field sessions and `decompose` need no sympy either.
+own, so number-field sessions and `decompose` need no sympy either.  And
+each subcommand loads only the flatcert modules it runs.
 
 Importing sympy costs about a third of a second and numpy about a tenth,
-paid by every CLI call that loads them; each check runs in a fresh
-interpreter so that modules loaded by other tests do not leak in.
+paid by every CLI call that loads them; without a bytecode cache every
+flatcert module a call loads is compiled again.  Each check runs in a
+fresh interpreter so that modules loaded by other tests do not leak in.
 """
 
 import ast
@@ -132,3 +134,105 @@ def test_subcommands_do_not_load_sympy(tmp_path, monkeypatch, argv, expect):
     (tmp_path / "field.json").write_text(json.dumps(FIELD_SESSION))
     monkeypatch.chdir(tmp_path)
     assert not _cli_loads("sympy", argv, expect)
+
+
+# -- the flatcert modules each subcommand loads ------------------------------
+
+# session and report, and what session imports: every command parses a
+# document and renders a report
+CORE = {
+    "flatcert",
+    "flatcert.errors",
+    "flatcert.exact",
+    "flatcert.exact.integers",
+    "flatcert.exact.newton",
+    "flatcert.exact.numberfield",
+    "flatcert.exact.poly",
+    "flatcert.exact.roots",
+    "flatcert.linalg",
+    "flatcert.places",
+    "flatcert.report",
+    "flatcert.session",
+    "flatcert.words",
+}
+FACTOR = {"flatcert.exact.factor"}
+BLOCKS = {"flatcert.blocks"}
+FLATS = {"flatcert.blocks", "flatcert.flats"}
+GRAPH_MODULES = FLATS | {"flatcert.manifold", "flatcert.parallel"}
+
+
+def _flatcert_modules(code: str, cwd) -> tuple[int, set[str]]:
+    """The exit code of a fresh interpreter that runs code, and the
+    flatcert.* modules in its sys.modules when it exits."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "finally:\n"
+        "    loaded = [k for k in sys.modules if k.split('.')[0] == 'flatcert']\n"
+        "    print(sorted(loaded), file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    return out.returncode, set(ast.literal_eval(out.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["-i", "session.json", "places"], 0, CORE),
+        (["-i", "session.json", "classify", "a*d"], 0, CORE),
+        (["-i", "session.json", "classify", "--direction", "d"], 0, CORE),
+        (["-i", "field.json", "classify", "--direction", "g"], 0, CORE | FACTOR),
+        (["-i", "session.json", "decompose", "d", "f"], 0, CORE | FACTOR | BLOCKS),
+        (["-i", "session.json", "flat", "d", "f"], 0, CORE | FLATS),
+        (["graph", "graph.json"], 2, CORE | GRAPH_MODULES),
+    ],
+)
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, code, loaded):
+    """A fresh `python -m flatcert.cli` per subcommand: places and classify
+    over Q load none of blocks, flats, manifold, parallel or the
+    factorizer, flat loads no manifold, and only a request that factors
+    loads exact.factor."""
+    session = {
+        "generators": {
+            "a": [["2", "1"], ["1", "1"]],
+            "d": [["2", "0"], ["0", "1/2"]],
+            "f": [["3", "0"], ["0", "1/3"]],
+        }
+    }
+    (tmp_path / "session.json").write_text(json.dumps(session))
+    (tmp_path / "field.json").write_text(json.dumps(FIELD_SESSION))
+    (tmp_path / "graph.json").write_text(json.dumps(GRAPH))
+    run = (
+        "import runpy\n"
+        f"sys.argv = ['flatcert', *{argv!r}]\n"
+        "runpy.run_module('flatcert.cli', run_name='__main__', alter_sys=True)"
+    )
+    assert _flatcert_modules(run, tmp_path) == (code, loaded)
+
+
+def test_import_flatcert_loads_no_submodule(tmp_path):
+    assert _flatcert_modules("import flatcert", tmp_path) == (0, {"flatcert"})
+
+
+def test_import_cli_loads_only_the_core(tmp_path):
+    assert _flatcert_modules("import flatcert.cli", tmp_path) == (0, CORE | {"flatcert.cli"})
+
+
+def test_lazy_exports_resolve(tmp_path):
+    # every public name and every submodule resolves on first access
+    code = (
+        "import flatcert\n"
+        "for name in flatcert.__all__:\n"
+        "    getattr(flatcert, name)\n"
+        "assert flatcert.exact.factor_q is flatcert.factor_q\n"
+        "assert flatcert.linalg.block_decompose is flatcert.block_decompose\n"
+        "assert callable(flatcert.parallel.pmap)"
+    )
+    # report and cli hold no public name, and nothing asked for the factorizer
+    loaded = CORE - {"flatcert.report"} | GRAPH_MODULES
+    assert _flatcert_modules(code, tmp_path) == (0, loaded)

@@ -22,7 +22,7 @@ from flatcert import (
     word_eval,
 )
 from flatcert.errors import DeterminantNotOne, UnknownGenerator
-from flatcert.exact.roots import complex_roots, expand_roots
+from flatcert.exact.roots import complex_roots
 from flatcert.linalg import regular_matrix
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     charpoly_interpolation,
     det1_corpus,
     det_grid,
+    expand_roots,
     identity_grid,
     inverse_grid,
     mul_grid,

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import numpy as np
 
 from flatcert import Poly, complex_roots
-from flatcert.exact.roots import expand_roots
+
+from conftest import expand_roots
 
 
 def _sorted_values(clusters):
