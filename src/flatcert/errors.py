@@ -68,6 +68,19 @@ class DimensionMismatch(FlatcertError):
     module = "linalg"
 
 
+class BudgetExceeded(FlatcertError):
+    """An input whose exact computation would pass a fixed size budget;
+    refused before the work starts."""
+
+    module = "words"
+
+    def __init__(self, what, estimate, limit):
+        self.what = what
+        self.estimate = estimate
+        self.limit = limit
+        super().__init__(f"{what} needs an estimated {estimate} bits, over the budget of {limit}")
+
+
 class ParseError(FlatcertError):
     module = "cli"
 

@@ -19,7 +19,7 @@ from .flats import PD_EPSILON, CommutingFamily, FlatCertificate, flat_certificat
 from .linalg import SqMatrix
 from .parallel import pmap
 from .places import Classification, PlaceSet, discover_places
-from .words import word_eval
+from .words import Name, Power, eval_power, word_eval
 
 __all__ = [
     "TorusRep",
@@ -131,9 +131,11 @@ def validate(rep: GraphRep) -> list[Violation]:
             continue
         t = rep.torus(g.torus)
         u = g.u
-        expected = (
-            t.a ** u[0][0] * t.b ** u[1][0],
-            t.a ** u[0][1] * t.b ** u[1][1],
+        # the U-words a^u0j * b^u1j, under the word power budget: U comes from
+        # the input, and a huge entry would otherwise never finish
+        expected = tuple(
+            eval_power(t.a, Power(Name("a"), u[0][j])) * eval_power(t.b, Power(Name("b"), u[1][j]))
+            for j in (0, 1)
         )
         gens = {"a": t.a, "b": t.b}
         for word, want in zip(g.second_basis_words, expected):

@@ -3,21 +3,28 @@
 Grammar:  expr := term ('*' term)* ; term := atom ('^' signed-integer)? ;
 atom := name | '(' expr ')'.  Products are left-associative, exponents bind
 tighter than '*', exponent 0 is the identity.  Evaluation is exact, with
-inverses by elimination and powers by repeated squaring.
+inverses by elimination and powers by repeated squaring.  A power whose
+result would pass POWER_BITS_LIMIT bits is refused before it is computed.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, ParseError, UnknownGenerator
+from .errors import BudgetExceeded, DimensionMismatch, ParseError, UnknownGenerator
 from .linalg import SqMatrix
 
 __all__ = ["WordExpr", "Name", "Power", "Product", "parse_word", "render_word", "word_eval"]
 
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 INT_RE = re.compile(r"-?[0-9]+")
+
+# Bits that one power may store, by the bound of _power_bits.  At the limit,
+# h^524288 with h = [[2, 1], [1, 1]] takes about 1.3 s to classify; the
+# largest benchmark power, an 8x8 matrix to the 1834th, needs under 2^19.
+POWER_BITS_LIMIT = 2**22
 
 
 class WordExpr:
@@ -82,8 +89,14 @@ class _Parser:
             m = INT_RE.match(self.text, self.pos)
             if not m:
                 self._fail("a signed integer exponent")
+            try:
+                exponent = int(m.group())
+            except ValueError:  # past the interpreter's int string limit
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(self.pos, f"an exponent of at most {limit} digits",
+                                 f"{len(m.group())} characters") from None
             self.pos = m.end()
-            return Power(base, int(m.group()))
+            return Power(base, exponent)
         return base
 
     def atom(self) -> WordExpr:
@@ -142,7 +155,7 @@ def word_eval(expr: WordExpr | str, gens: dict[str, SqMatrix]) -> SqMatrix:
             except KeyError:
                 raise UnknownGenerator(node.name) from None
         if isinstance(node, Power):
-            return ev(node.base) ** node.exponent
+            return eval_power(ev(node.base), node)
         if isinstance(node, Product):
             result = ev(node.factors[0])
             for f in node.factors[1:]:
@@ -151,6 +164,26 @@ def word_eval(expr: WordExpr | str, gens: dict[str, SqMatrix]) -> SqMatrix:
         raise TypeError(f"not a word expression: {node!r}")
 
     return ev(expr)
+
+
+def eval_power(m: SqMatrix, node: Power) -> SqMatrix:
+    """The value of a power node, given the value m of its base; refused with
+    BudgetExceeded, before any product, past POWER_BITS_LIMIT bits."""
+    k = node.exponent
+    if k < 0:
+        m, k = m.inverse(), -k
+    bits = _power_bits(m, k)
+    if bits > POWER_BITS_LIMIT:
+        raise BudgetExceeded(f"the power {render_word(node)}", bits, POWER_BITS_LIMIT)
+    return m**k
+
+
+def _power_bits(m: SqMatrix, k: int) -> int:
+    """The bits that m^k, k >= 0, stores, bounded from above to within one
+    bit per entry: num^k has entries at most ||num||_inf^k, and the
+    denominator of m^k divides den^k."""
+    norm = max(1, max(sum(map(abs, row)) for row in m.num))
+    return k * (m.n * m.n * (norm - 1).bit_length() + (m.den - 1).bit_length())
 
 
 def power_word(names_exponents: list[tuple[str, int]]) -> str:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 from fractions import Fraction
@@ -117,11 +118,15 @@ def test_graph_determinant_error_names_the_torus_basis():
 
 def _classify_power_in_subprocess(tmp_path, k: int) -> subprocess.CompletedProcess:
     """classify h^k, h = [[2, 1], [1, 1]], in a fresh CLI process."""
-    (tmp_path / "doc.json").write_text(json.dumps({"generators": {"h": [["2", "1"], ["1", "1"]]}}))
+    return _classify_in_subprocess(tmp_path, {"h": [["2", "1"], ["1", "1"]]}, f"h^{k}")
+
+
+def _classify_in_subprocess(tmp_path, generators: dict, word: str) -> subprocess.CompletedProcess:
+    (tmp_path / "doc.json").write_text(json.dumps({"generators": generators}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run(
-        [sys.executable, "-m", "flatcert.cli", "-i", "doc.json", "classify", f"h^{k}"],
+        [sys.executable, "-m", "flatcert.cli", "-i", "doc.json", "classify", word],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
 
@@ -148,6 +153,49 @@ def test_root_lost_to_zero_is_a_structured_error(tmp_path, k):
     charpoly of a det-1 matrix has no zero root, so that is a failed
     isolation: ToleranceNotReached."""
     _assert_tolerance_not_reached(_classify_power_in_subprocess(tmp_path, k))
+
+
+@pytest.mark.parametrize(
+    "generators, word, estimate",
+    [
+        # was still running after 30 s
+        ({"h": [["2", "1"], ["1", "1"]]}, "h^10000000", 80000000),
+        # ran at full CPU for over 2 minutes
+        ({"a": [["2", "0"], ["0", "1/2"]]}, "a^99999999999999999999", 899999999999999999991),
+    ],
+)
+def test_huge_power_is_a_budget_error(tmp_path, generators, word, estimate):
+    out = _classify_in_subprocess(tmp_path, generators, word)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == _error_json(
+        "BudgetExceeded",
+        "words",
+        f"the power {word} needs an estimated {estimate} bits, over the budget of 4194304",
+    )
+
+
+def test_huge_gluing_entry_is_a_budget_error():
+    # validate evaluates the U-words a^u0j * b^u1j; with u01 = 10^8 and a
+    # hyperbolic a it ran past 20 s
+    torus = {"id": "T1", "A": [["2", "1"], ["1", "1"]], "B": [["1", "0"], ["0", "1"]]}
+    gluing = {"torus": "T1", "U": [[1, 10**8], [0, 1]], "secondBasisWords": ["a", "b"]}
+    res = _run(["graph", "doc.json"], json.dumps({"tori": [torus], "gluings": [gluing]}))
+    assert res.exit_code == 1
+    assert res.stderr == _error_json(
+        "BudgetExceeded",
+        "words",
+        "the power a^100000000 needs an estimated 800000000 bits, over the budget of 4194304",
+    )
+
+
+def test_huge_power_is_refused_in_under_a_second():
+    # in process, so the time is the request's own and not interpreter start-up
+    doc = json.dumps({"generators": {"h": [["2", "1"], ["1", "1"]]}})
+    t0 = time.perf_counter()
+    res = _run(["-i", "doc.json", "classify", "h^10000000"], doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"]["type"] == "BudgetExceeded"
 
 
 def test_usage_error_exit_code_leaves_click_alone():
@@ -275,6 +323,7 @@ ERROR_MODULES = {
     "NumericalInconclusive": "flats",
     "NotBallistic": "places",
     "PlaceSetIncomplete": "places",
+    "BudgetExceeded": "words",
     "ParseError": "cli",
     "InvalidGraphRep": "manifold",
 }
