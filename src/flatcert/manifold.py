@@ -19,7 +19,7 @@ from .flats import PD_EPSILON, CommutingFamily, FlatCertificate, flat_certificat
 from .linalg import SqMatrix
 from .parallel import pmap
 from .places import Classification, PlaceSet, discover_places
-from .words import Name, Power, eval_power, word_eval
+from .words import Name, eval_power, word_eval
 
 __all__ = [
     "TorusRep",
@@ -112,6 +112,7 @@ def validate(rep: GraphRep) -> list[Violation]:
     violations are data, not exceptions."""
     out: list[Violation] = []
     seen_ids: set[str] = set()
+    a_name, b_name = Name("a"), Name("b")
     for t in rep.tori:
         if t.id in seen_ids:
             out.append(Violation(t.id, "DuplicateTorus", "another torus has the same id"))
@@ -134,8 +135,7 @@ def validate(rep: GraphRep) -> list[Violation]:
         # the U-words a^u0j * b^u1j, under the word power budget: U comes from
         # the input, and a huge entry would otherwise never finish
         expected = tuple(
-            eval_power(t.a, Power(Name("a"), u[0][j])) * eval_power(t.b, Power(Name("b"), u[1][j]))
-            for j in (0, 1)
+            eval_power(t.a, a_name, u[0][j]) * eval_power(t.b, b_name, u[1][j]) for j in (0, 1)
         )
         gens = {"a": t.a, "b": t.b}
         for word, want in zip(g.second_basis_words, expected):

@@ -155,7 +155,7 @@ def word_eval(expr: WordExpr | str, gens: dict[str, SqMatrix]) -> SqMatrix:
             except KeyError:
                 raise UnknownGenerator(node.name) from None
         if isinstance(node, Power):
-            return eval_power(ev(node.base), node)
+            return eval_power(ev(node.base), node.base, node.exponent)
         if isinstance(node, Product):
             result = ev(node.factors[0])
             for f in node.factors[1:]:
@@ -166,16 +166,16 @@ def word_eval(expr: WordExpr | str, gens: dict[str, SqMatrix]) -> SqMatrix:
     return ev(expr)
 
 
-def eval_power(m: SqMatrix, node: Power) -> SqMatrix:
-    """The value of a power node, given the value m of its base; refused with
-    BudgetExceeded, before any product, past POWER_BITS_LIMIT bits."""
-    k = node.exponent
-    if k < 0:
-        m, k = m.inverse(), -k
-    bits = _power_bits(m, k)
-    if bits > POWER_BITS_LIMIT:
-        raise BudgetExceeded(f"the power {render_word(node)}", bits, POWER_BITS_LIMIT)
-    return m**k
+def eval_power(m: SqMatrix, base: WordExpr, k: int) -> SqMatrix:
+    """m^k for m the value of base, refused with BudgetExceeded, before any
+    product, when it would store more than POWER_BITS_LIMIT bits."""
+    e = k
+    if e < 0:
+        m, e = m.inverse(), -e
+    # e = 1 adds no size, and nested inverses undo each other
+    if e > 1 and (bits := _power_bits(m, e)) > POWER_BITS_LIMIT:
+        raise BudgetExceeded(f"the power {render_word(Power(base, k))}", bits, POWER_BITS_LIMIT)
+    return m**e
 
 
 def _power_bits(m: SqMatrix, k: int) -> int:
