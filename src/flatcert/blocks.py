@@ -30,9 +30,9 @@ def kernel_basis(m: SqMatrix) -> list[list[Fraction]]:
     """Exact null-space basis of a rational matrix.
 
     Fraction-free Bareiss forward elimination on the integer rows num (the
-    denominator does not change the kernel), then rational
-    back-substitution; one basis vector per free column, deterministic
-    order.
+    denominator does not change the kernel), then integer
+    back-substitution; one basis vector per free column, 1 there and 0 at
+    the other free columns, deterministic order.
     """
     n = m.n
     a = [list(r) for r in m.num]
@@ -65,15 +65,14 @@ def kernel_basis(m: SqMatrix) -> list[list[Fraction]]:
     free_cols = [c for c in range(n) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+        # by Cramer's rule the last pivot (the minor on the pivot rows and
+        # columns) clears every denominator of the vector with 1 at fc, so
+        # this integer back-substitution divides exactly
+        vec = [0] * n
+        vec[fc] = prev
         for r, c in reversed(pivots):
-            s = Fraction(0)
-            for j in range(c + 1, n):
-                if a[r][j]:
-                    s += Fraction(a[r][j]) * vec[j]
-            vec[c] = -s / a[r][c]
-        basis.append(vec)
+            vec[c] = -sum(a[r][j] * vec[j] for j in range(c + 1, n)) // a[r][c]
+        basis.append([Fraction(x, prev) for x in vec])
     return basis
 
 
@@ -126,67 +125,50 @@ class BlockDecomposition:
         return SqMatrix._over(tuple(map(tuple, big)), den).conjugate_by(self.conjugator)
 
 
-def _find_split(gens: list[SqMatrix]) -> tuple[SqMatrix, list[tuple[Poly, int]]] | None:
-    """First generator whose charpoly has >= 2 coprime irreducible-power
-    parts, with that factorization; None if every generator is primary."""
-    for g in gens:
-        factors = factor_q(charpoly(g))
-        if len(factors) >= 2:
-            return g, factors
-    return None
-
-
 def _columns_to_matrix(cols: list[list[Fraction]]) -> SqMatrix:
     n = len(cols)
     return SqMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-def _split_recursive(gens: list[SqMatrix]) -> list[tuple[list[list[Fraction]], list[SqMatrix]]]:
-    """Return [(basis columns in the ambient space, restricted generators)]
-    with every restricted generator primary (single irreducible factor)."""
+def _primary_pieces(gens: list[SqMatrix]) -> list[tuple[list[list[Fraction]], tuple[Poly, ...]]]:
+    """[(basis columns in the ambient space, irreducible factor of each
+    generator)] for the pieces on which every generator is primary.
+
+    One pass over the generators: generator k splits every current piece
+    into the kernels of q(g_k)^e, one per factor (q, e) of its restricted
+    charpoly.  Commuting generators preserve those kernels, so a generator
+    primary on a piece stays primary, with the same factor, on each subpiece.
+    """
     n = gens[0].n
-    split = _find_split(gens)
-    if split is None:
-        identity_cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-        return [(identity_cols, gens)]
-    g, factors = split
-    subspaces: list[list[list[Fraction]]] = []
-    for q, e in factors:
-        power = poly_at_matrix(q, g) ** e
-        subspaces.append(kernel_basis(power))
-    assert sum(len(b) for b in subspaces) == n, "primary components do not span"
-    cols = [v for basis in subspaces for v in basis]
-    c_level = _columns_to_matrix(cols)
-    c_inv = c_level.inverse()
-    out: list[tuple[list[list[Fraction]], list[SqMatrix]]] = []
-    offset = 0
-    transformed = [c_inv * h * c_level for h in gens]
-    for basis in subspaces:
-        size = len(basis)
-        idx = list(range(offset, offset + size))
-        sub_gens = []
-        for t in transformed:
-            # commuting generators preserve each primary component, so the
-            # off-block entries must vanish identically
-            for i in idx:
-                for j in range(n):
-                    if j not in idx and t.num[i][j] != 0:
-                        raise AssertionError("generator does not preserve a primary component")
-            sub_gens.append(t.submatrix(idx))
-        for sub_cols, sub_g in _split_recursive(sub_gens):
-            # lift the nested basis back through this level's columns
-            lifted = []
-            for v in sub_cols:
-                w = [Fraction(0)] * n
-                for local_i, coef in enumerate(v):
-                    if coef:
-                        col = cols[offset + local_i]
-                        for r in range(n):
-                            w[r] += coef * col[r]
-                lifted.append(w)
-            out.append((lifted, sub_g))
-        offset += size
-    return out
+    identity = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    # (ambient columns, restricted generators, factors of the generators so far)
+    pieces = [(identity, gens, ())]
+    for k in range(len(gens)):
+        split = []
+        for cols, sub, qs in pieces:
+            factors = factor_q(charpoly(sub[k]))
+            if len(factors) == 1:
+                split.append((cols, sub, qs + (factors[0][0],)))
+                continue
+            kernels = [kernel_basis(poly_at_matrix(q, sub[k]) ** e) for q, e in factors]
+            sizes = [len(b) for b in kernels]
+            assert sum(sizes) == len(cols), "primary components do not span"
+            local = _columns_to_matrix([v for b in kernels for v in b])
+            local_inv = local.inverse()
+            transformed = [local_inv * h * local for h in sub]
+            for t in transformed:
+                _assert_block_diagonal(t, sizes)
+            offset = 0
+            for (q, _), basis in zip(factors, kernels):
+                idx = list(range(offset, offset + len(basis)))
+                lifted = []
+                for v in basis:
+                    terms = [(c, col) for c, col in zip(v, cols) if c]
+                    lifted.append([sum(c * col[r] for c, col in terms) for r in range(n)])
+                split.append((lifted, [t.submatrix(idx) for t in transformed], qs + (q,)))
+                offset += len(basis)
+        pieces = split
+    return [(cols, qs) for cols, _, qs in pieces]
 
 
 def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecomposition:
@@ -195,7 +177,8 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecompositio
 
     Output blocks are sorted by (size, lexicographic block charpolys); the
     conjugator has determinant exactly 1 (a diagonal correction inside the
-    first block absorbs the scaling).
+    first block absorbs the scaling).  Generator k is primary with factor q
+    on a block of size s, so its block charpoly is q^(s / deg q).
     """
     gens = [g for _, g in gens_named]
     if not gens:
@@ -208,14 +191,13 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecompositio
     if witness is not None:
         raise NotCommuting(witness.i, witness.j, witness.commutator)
 
-    pieces = _split_recursive(gens)
-    keyed = []
-    for cols, sub_gens in pieces:
-        cps = tuple(charpoly(sg) for sg in sub_gens)
-        keyed.append((len(cols), tuple(cp.coeffs for cp in cps), cols, sub_gens, cps))
-    keyed.sort(key=lambda t: (t[0], t[1]))
+    pieces = []
+    for cols, qs in _primary_pieces(gens):
+        size = len(cols)
+        pieces.append((size, tuple(q ** (size // q.degree) for q in qs), cols))
+    pieces.sort(key=lambda p: (p[0], tuple(cp.coeffs for cp in p[1])))
 
-    all_cols = [v for _, _, cols, _, _ in keyed for v in cols]
+    all_cols = [v for _, _, cols in pieces for v in cols]
     conj = _columns_to_matrix(all_cols)
     delta = conj.det()
     if delta != 1:
@@ -226,22 +208,20 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecompositio
         conj = _columns_to_matrix(fixed)
         assert conj.det() == 1
     c_inv = conj.inverse()
-    blocks = []
-    charpolys = []
-    offset = 0
+    sizes = [size for size, _, _ in pieces]
     transformed = [c_inv * g * conj for g in gens]
-    for size, _, _, _, cps in keyed:
-        idx = list(range(offset, offset + size))
-        mats = tuple(t.submatrix(idx) for t in transformed)
-        blocks.append((size, mats))
-        charpolys.append(cps)
-        offset += size
     for t in transformed:
-        _assert_block_diagonal(t, [size for size, _ in blocks])
+        _assert_block_diagonal(t, sizes)
+    blocks = []
+    offset = 0
+    for size in sizes:
+        idx = list(range(offset, offset + size))
+        blocks.append((size, tuple(t.submatrix(idx) for t in transformed)))
+        offset += size
     decomp = BlockDecomposition(
         conjugator=conj,
         blocks=tuple(blocks),
-        block_charpolys=tuple(charpolys),
+        block_charpolys=tuple(cps for _, cps, _ in pieces),
     )
     for k, g in enumerate(gens):
         assert decomp.reassemble(k) == g
@@ -249,13 +229,11 @@ def block_decompose(gens_named: list[tuple[str, SqMatrix]]) -> BlockDecompositio
 
 
 def _assert_block_diagonal(m: SqMatrix, sizes: list[int]):
+    """Commuting generators preserve each primary component, so every entry
+    off the diagonal blocks must vanish identically."""
     offset = 0
-    spans = []
     for s in sizes:
-        spans.append((offset, offset + s))
+        for row in m.num[offset : offset + s]:
+            if any(row[:offset]) or any(row[offset + s :]):
+                raise AssertionError("generator is not block diagonal")
         offset += s
-    for (a0, a1) in spans:
-        for i in range(a0, a1):
-            for j in range(m.n):
-                if not (a0 <= j < a1) and m.num[i][j] != 0:
-                    raise AssertionError("conjugated generator is not block diagonal")

@@ -140,9 +140,10 @@ def test_criterion_05_triangularize_suite():
         assert d.conjugator.det() == 1
         for k, (_, g) in enumerate(family):
             assert d.reassemble(k) == g
-        for per_gen in d.block_charpolys:
-            for cp in per_gen:
+        for (_, mats), per_gen in zip(d.blocks, d.block_charpolys):
+            for cp, m in zip(per_gen, mats):
                 assert len(factor_q(cp)) == 1
+                assert cp == charpoly(m)
     _ok(5, "50 commuting families: exact reassembly, primary blocks, det C = 1")
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatcert import Poly, SqMatrix, factor_q
+import flatcert.blocks
+from flatcert import Poly, SqMatrix, charpoly, factor_q
 from flatcert.errors import NotCommuting
 from flatcert.linalg import block_decompose
 
@@ -83,9 +84,10 @@ def test_random_families_decompose_exactly():
         for per_gen in d.block_charpolys:
             for cp in per_gen:
                 assert len(factor_q(cp)) == 1
+        # the split's block charpolys are those of the blocks themselves
+        for (_, mats), per_gen in zip(d.blocks, d.block_charpolys):
+            assert list(per_gen) == [charpoly(m) for m in mats]
         # product over blocks of block charpolys equals the full charpoly
-        from flatcert import charpoly
-
         for k, (_, g) in enumerate(family):
             prod = Poly([1])
             for per_gen in d.block_charpolys:
@@ -100,3 +102,21 @@ def test_blocks_sorted_by_size_then_charpoly():
     cps = [per_gen[0] for per_gen in d.block_charpolys]
     keys = [(cp.degree, cp.coeffs) for cp in cps]
     assert keys == sorted(keys)
+
+
+def test_each_generator_factors_once_per_piece(monkeypatch):
+    # a splits the space in two and b splits each half again: one factor_q
+    # call for a on the whole space and one for b on each half
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return factor_q(p)
+
+    monkeypatch.setattr(flatcert.blocks, "factor_q", counting)
+    a = SqMatrix.diagonal([2, 2, F(1, 2), F(1, 2)])
+    b = SqMatrix.diagonal([3, F(1, 3), 3, F(1, 3)])
+    conj = unimodular(random.Random(3), 4)
+    d = block_decompose([("a", a.conjugate_by(conj)), ("b", b.conjugate_by(conj))])
+    assert d.sizes == (1, 1, 1, 1)
+    assert len(calls) == 3

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,6 +324,26 @@ def test_kernel_vectors_annihilate():
             img = [sum(m.rows[i][j] * v[j] for j in range(n)) for i in range(n)]
             assert all(x == 0 for x in img)
 
+
+def test_kernel_basis_matches_sympy_nullspace():
+    # sympy normalizes as kernel_basis does: 1 at the vector's free column
+    # and 0 at the other free columns, so the vectors must agree exactly
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        rank = rng.randint(0, n - 1)
+
+        def rand():
+            return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+        left = [[rand() for _ in range(rank)] for _ in range(n)]
+        right = [[rand() for _ in range(n)] for _ in range(rank)]
+        rows = [[sum((r[k] * right[k][j] for k in range(rank)), F(0)) for j in range(n)]
+                for r in left]
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                               for r in rows])
+        expect = [[F(int(x.p), int(x.q)) for x in v] for v in oracle.nullspace()]
+        assert kernel_basis(SqMatrix(rows)) == expect
 
 def test_is_unipotent():
     assert is_unipotent(SqMatrix([[1, 1], [0, 1]]))
