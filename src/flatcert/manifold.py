@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import FlatcertError
 from .flats import PD_EPSILON, CommutingFamily, FlatCertificate, flat_certificate
 from .linalg import SqMatrix
-from .parallel import pmap
 from .places import Classification, PlaceSet, discover_places
 from .words import Name, eval_power, word_eval
 
@@ -189,7 +188,7 @@ def _npc_certificate(rep: GraphRep, pd_epsilon: float | None, tol: float) -> Npc
         family = CommutingFamily(names=("a", "b"), gens=(t.a, t.b), places=rep.places)
         return t.id, flat_certificate(family, eps, tol=tol)
 
-    certs = tuple(pmap(per_torus, rep.tori))
+    certs = tuple(per_torus(t) for t in rep.tori)
     for torus_id, cert in certs:
         if cert.tag == "Degenerate":
             return NpcResult(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotBallistic, PlaceSetIncomplete
+from .exact.integers import prime_factors
 from .exact.newton import newton_slopes
 from .exact.poly import Poly, _divide, _integral, cyclotomic, factor_q, squarefree_decomposition
 from .exact.roots import complex_roots
@@ -102,21 +103,15 @@ def discover_places(gens: list[SqMatrix]) -> PlaceSet:
     Inverses contribute nothing new: adjugate entries have denominators
     dividing products of entry denominators, and det = 1.
     """
-    from math import lcm
-
-    from .exact.integers import prime_factors
-
     denom = 1
     for g in gens:
         _check_det_one(g)
-        denom = lcm(denom, g.den)
+        denom = math.lcm(denom, g.den)
     primes = tuple(p for p, _ in prime_factors(denom))
     return PlaceSet(primes=primes)
 
 
 def _check_places_complete(m: SqMatrix, places: PlaceSet):
-    from .exact.integers import prime_factors
-
     missing = [p for p, _ in prime_factors(m.den) if p not in places.primes]
     if missing:
         raise PlaceSetIncomplete(missing)
