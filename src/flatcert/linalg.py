@@ -7,11 +7,11 @@ inverses and determinants run on integers with one gcd normalization per
 result.  Inverses and determinants use fraction-free Bareiss elimination
 (Bareiss, Math. Comp. 1968); characteristic polynomials use division-free
 Berkowitz on ``num`` (the test suite cross-checks against Faddeev-LeVerrier
-and determinant interpolation) and are kept on the matrix after the first
-call.  A matrix over Q(alpha) is only ever a grid of regular_matrix
-blocks, one per entry: embed_regular decides its determinant in the field
-by elimination over the commuting blocks, and tiles the blocks into one
-rational matrix.  Kernels, the pairwise commutation check and the block
+and determinant interpolation).  The determinant and the characteristic
+polynomial are kept on the matrix after the first call.  A matrix over
+Q(alpha) is only ever a grid of regular_matrix blocks, one per entry:
+embed_regular decides its determinant in the field by elimination over the
+commuting blocks, and tiles the blocks into one rational matrix.  Kernels, the pairwise commutation check and the block
 decomposition of commuting families live in flatcert.blocks, which only
 flat, decompose and graph load; their names are re-exported here lazily.
 """
@@ -70,13 +70,14 @@ class SqMatrix:
 
     The entries are num[i][j] / den: integer rows over one denominator
     den > 0 with gcd(den, every entry) = 1.  ``rows`` is the Fraction view;
-    the characteristic polynomial is kept in a slot once computed.
+    the characteristic polynomial and the determinant are kept in slots once
+    computed.
     """
 
-    __slots__ = ("n", "num", "den", "_charpoly")
+    __slots__ = ("n", "num", "den", "_charpoly", "_det")
 
     def __init__(self, rows):
-        entries = [[Fraction(x) for x in r] for r in rows]
+        entries = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
         n = len(entries)
         if any(len(r) != n for r in entries):
             raise DimensionMismatch("matrix is not square")
@@ -86,8 +87,8 @@ class SqMatrix:
         self._set(num, den)
 
     def _set(self, num, den):
-        """Fill every slot once; the charpoly slot starts empty."""
-        for name, value in zip(self.__slots__, (len(num), num, den, None)):
+        """Fill every slot once; the charpoly and det slots start empty."""
+        for name, value in zip(self.__slots__, (len(num), num, den, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -198,8 +199,11 @@ class SqMatrix:
     # -- elimination-based kernels: det, inverse, solve -------------------
 
     def det(self) -> Fraction:
-        """Exact determinant: Bareiss on num, over den^n."""
-        return Fraction(_det_bareiss(self.num), self.den**self.n)
+        """Exact determinant: Bareiss on num, over den^n, kept on the matrix
+        after the first call."""
+        if self._det is None:
+            object.__setattr__(self, "_det", Fraction(_det_bareiss(self.num), self.den**self.n))
+        return self._det
 
     def inverse(self) -> "SqMatrix":
         """Exact inverse by fraction-free Gauss-Jordan (Bareiss) on [num | I].
@@ -332,7 +336,8 @@ def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
     characteristic polynomial is the product of all embeddings of the field
     charpoly.  det = 1 is checked exactly before embedding, in the field,
     by _block_det: the embedded determinant is only the norm of the field
-    determinant, which can be 1 when det is not.
+    determinant, which can be 1 when det is not.  The norm of 1 is 1, so
+    the result keeps det 1 without another elimination.
     """
     if field is None:
         m = SqMatrix(rows)
@@ -347,7 +352,7 @@ def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
         raise DeterminantNotOne(det=f"[{', '.join(str(det[i, 0]) for i in range(det.n))}]")
     d = field.degree
     den = math.lcm(*(b.den for r in rows for b in r))
-    return SqMatrix._over(
+    m = SqMatrix._over(
         tuple(
             tuple(x * (den // b.den) for b in brow for x in b.num[i])
             for brow in rows
@@ -355,6 +360,8 @@ def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
         ),
         den,
     )
+    object.__setattr__(m, "_det", Fraction(1))
+    return m
 
 
 def _block_det(rows) -> SqMatrix:
