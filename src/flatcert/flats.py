@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DeterminantNotOne, NotBallistic, NotCommuting, NumericalInconclusive
 from .blocks import kernel_basis, verify_commuting
 from .linalg import SqMatrix
-from .places import Classification, PlaceSet, classify, discover_places, drift_profile
+from .places import Classification, PlaceSet, _drift, classify, discover_places, drift_profile
 from .words import power_word
 
 __all__ = [
@@ -102,7 +102,13 @@ class GramData:
 
 
 def gram(family: CommutingFamily, *, tol: float = 1e-12) -> GramData:
-    """Polarized Gram matrix; diagonal straight from squared lengths."""
+    """Polarized Gram matrix; diagonal straight from squared lengths.
+
+    Each generator is checked for det 1 and the place set by length_sq.
+    The products g_i g_j and g_i g_j^-1 inherit both checks: det is
+    multiplicative, and their denominators divide products of the
+    generators' (an inverse's entries are cofactors, as det = 1).
+    """
     r = family.rank
     nonarch = [[Fraction(0)] * r for _ in range(r)]
     arch = [[0.0] * r for _ in range(r)]
@@ -113,10 +119,10 @@ def gram(family: CommutingFamily, *, tol: float = 1e-12) -> GramData:
     for i in range(r):
         for j in range(i + 1, r):
             gi, gj = family.gens[i], family.gens[j]
-            plus_a, plus_na = length_sq(gi * gj, family.places, tol=tol)
-            minus_a, minus_na = length_sq(gi * gj.inverse(), family.places, tol=tol)
-            arch[i][j] = arch[j][i] = (plus_a - minus_a) / 4.0
-            nonarch[i][j] = nonarch[j][i] = (plus_na - minus_na) / 4
+            plus = _drift(gi * gj, family.places, None, tol)[0]
+            minus = _drift(gi * gj.inverse(), family.places, None, tol)[0]
+            arch[i][j] = arch[j][i] = (plus.length2_arch() - minus.length2_arch()) / 4.0
+            nonarch[i][j] = nonarch[j][i] = (plus.length2_nonarch() - minus.length2_nonarch()) / 4
     return GramData(
         nonarch=tuple(tuple(row) for row in nonarch),
         arch=tuple(tuple(row) for row in arch),

@@ -57,7 +57,14 @@ class DriftProfile:
         return sum(x * x for x in self.arch)
 
     def length2_nonarch(self) -> Fraction:
-        return sum((v * v for vals in self.padic.values() for v in vals), Fraction(0))
+        return _sum_sq(tuple(itertools.chain.from_iterable(self.padic.values())))
+
+
+def _sum_sq(vals: tuple[Fraction, ...]) -> Fraction:
+    """The exact sum of squares of rationals, as one integer sum over their
+    common denominator squared."""
+    den = math.lcm(*(v.denominator for v in vals))
+    return Fraction(sum((v.numerator * (den // v.denominator)) ** 2 for v in vals), den * den)
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,7 @@ def direction_profile(cls: Classification) -> DirectionProfile:
     norms2_nonarch: dict[str, Fraction] = {}
     for p, vals in profile.padic.items():
         coords[str(p)] = [float(v) for v in vals]
-        norms2_nonarch[str(p)] = sum((v * v for v in vals), Fraction(0))
+        norms2_nonarch[str(p)] = _sum_sq(vals)
     norms = {lbl: math.sqrt(sum(x * x for x in v)) for lbl, v in coords.items()}
     units = {
         lbl: tuple((x / norms[lbl]) if norms[lbl] > 0 else 0.0 for x in v)
