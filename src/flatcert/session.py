@@ -13,6 +13,7 @@ so every downstream computation sees rational matrices only.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -40,11 +41,19 @@ def fraction_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(value) -> Fraction:
     """An exact rational "p/q" string or integer; anything else, including
-    a zero denominator, is a ParseError."""
+    a zero denominator, is a ParseError.  A plain ASCII "p" or "p/q", with
+    an optional minus sign, is read with int(); any other string goes
+    through Fraction's own parser."""
     if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
+            if isinstance(value, str) and (m := _PLAIN.fullmatch(value)):
+                p, q = m.groups()
+                return Fraction(int(p), int(q)) if q else Fraction(int(p))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
@@ -94,6 +103,10 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.pos, "valid JSON", e.msg, line=e.lineno, column=e.colno) from None
+    except (ValueError, RecursionError) as e:
+        # an integer literal past int()'s digit limit, or nesting past the
+        # recursion limit
+        raise ParseError(0, "valid JSON", str(e)) from None
 
 
 def _parse_field(doc) -> NumberField | None:
