@@ -188,6 +188,26 @@ def test_huge_gluing_entry_is_a_budget_error():
     )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ['"1' + "0" * 4999 + '"', "1" + "0" * 4999, "[" * 100000 + "]" * 100000],
+    ids=["5000-digit-string", "5000-digit-number", "deep-nesting"],
+)
+@pytest.mark.parametrize("args", [["-i", "doc.json", "places"], ["graph", "doc.json"]])
+def test_oversized_entry_is_a_parse_error(args, entry):
+    """Past int()'s digit limit for strings, and past the recursion limit of
+    the JSON decoder, an entry is refused with a report, not a traceback."""
+    row = f'[[{entry}, "0"], ["0", "1"]]'
+    doc = (
+        f'{{"generators": {{"a": {row}}}}}'
+        if args[0] == "-i"
+        else f'{{"tori": [{{"id": "T1", "A": {row}, "B": [["1", "0"], ["0", "1"]]}}]}}'
+    )
+    res = _run(args, doc)
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert json.loads(res.stderr)["error"]["type"] == "ParseError"
+
+
 def test_huge_power_is_refused_in_under_a_second():
     # in process, so the time is the request's own and not interpreter start-up
     doc = json.dumps({"generators": {"h": [["2", "1"], ["1", "1"]]}})

@@ -1,11 +1,14 @@
 """Gram polarization against the joint-indexing oracle, parallelogram law,
 certificates, Tits angles."""
 
+import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from flatcert import (
     PlaceSet,
     SqMatrix,
     classify,
+    drift_profile,
     flat_certificate,
     gram,
     length_sq,
@@ -21,9 +25,11 @@ from flatcert import (
     verify_commuting,
     word_eval,
 )
-from flatcert.errors import NotBallistic, NotCommuting
+from flatcert.cli import main
+from flatcert.errors import DeterminantNotOne, NotBallistic, NotCommuting, PlaceSetIncomplete
 from flatcert.exact.integers import padic_valuation
 from flatcert.flats import _eigh, _lattice_covolume
+from flatcert.places import _charpoly_drift
 
 from conftest import numpy_eigh, numpy_lattice_decision, random_diag_23
 
@@ -58,6 +64,56 @@ def test_length_sq_examples():
     assert na == 2 and abs(a - 2 * math.log(2) ** 2) < 1e-11
     a, na = length_sq(SqMatrix.diagonal([3, F(1, 3)]), places)
     assert na == 2 and abs(a - 2 * math.log(3) ** 2) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (SqMatrix.diagonal([2, 1]), DeterminantNotOne),
+        (SqMatrix.diagonal([5, F(1, 5)]), PlaceSetIncomplete),
+    ],
+    ids=["det-2", "off-place"],
+)
+def test_public_entry_points_keep_their_checks(bad, error):
+    """Only gram's products skip the det and place checks; every public
+    entry point checks the matrices it is given."""
+    places = PlaceSet(primes=(2,))
+    for check in (length_sq, drift_profile, classify):
+        with pytest.raises(error):
+            check(bad, places)
+    # built directly, so nothing checked the family; the bad generator is last
+    family = CommutingFamily(
+        names=("a", "b"), gens=(SqMatrix.diagonal([2, F(1, 2)]), bad), places=places
+    )
+    with pytest.raises(error):
+        gram(family)
+
+
+FLAT_POWERS_REPORT = {
+    "latticeRank": 1,
+    "nullVector": [1, 1, -1],
+    "nullVectors": [[1, 1, -1], [2, -1, 0]],
+    "tag": "Degenerate",
+    "witness": "g1*g2*g3^-1",
+    "witnessClass": {"tag": "Identity"},
+}
+
+
+def test_flat_on_hyperbolic_powers_keeps_its_witnesses(tmp_path):
+    """flat g1 g2 g3 with g_k = h^k.  The null candidates come from the float
+    eigenbasis of the polarized Gram, so they move with its rounding: the
+    parallelogram form (Q(gh) - Q(g) - Q(h))/2 of the same Gram took this
+    request from 0.25 s to past 10 s."""
+    h = SqMatrix([[2, 1], [1, 1]])
+    gens = {f"g{k}": [[str(x) for x in row] for row in (h**k).rows] for k in (1, 2, 3)}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"generators": gens}))
+    _charpoly_drift.cache_clear()
+    t0 = time.perf_counter()
+    res = CliRunner().invoke(main, ["-i", str(path), "flat", "g1", "g2", "g3"])
+    assert time.perf_counter() - t0 < 2.0
+    assert res.exit_code == 2
+    assert res.stdout == json.dumps(FLAT_POWERS_REPORT, indent=2, sort_keys=True) + "\n"
 
 
 def test_gram_worked_example():

@@ -24,7 +24,7 @@ from flatcert import (
 )
 from flatcert.errors import DeterminantNotOne, UnknownGenerator
 from flatcert.exact.roots import complex_roots
-from flatcert.linalg import regular_matrix
+from flatcert.linalg import _det_bareiss, regular_matrix
 
 from conftest import (
     charpoly_faddeev_leverrier,
@@ -239,6 +239,8 @@ def test_embed_regular_is_a_ring_map(case):
         return [[p[1][1], p[0][1].scale(-1)], [p[1][0].scale(-1), p[0][0]]]
 
     big_a, big_b = embed_regular(a, f), embed_regular(b, f)
+    # the det 1 an embedded matrix is born with is the one elimination finds
+    assert big_a.det() == 1 and _det_bareiss(big_a.num) == big_a.den**big_a.n
     assert embed_regular(mul(a, b), f) == big_a * big_b
     assert embed_regular(inv(a), f) == big_a.inverse()
     tr = a[0][0] + a[1][1]  # the first column holds its coordinates

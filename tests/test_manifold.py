@@ -14,6 +14,7 @@ from flatcert import (
     CommutingFamily,
     GluingSpec,
     GraphRep,
+    PlaceSet,
     SqMatrix,
     TorusRep,
     discover_places,
@@ -24,9 +25,10 @@ from flatcert import (
     validate,
     word_eval,
 )
+from flatcert import linalg
 from flatcert.cli import main
 from flatcert.flats import gram, verify_commuting
-from flatcert.manifold import InvalidGraphRep, graph_certificate
+from flatcert.manifold import InvalidGraphRep, Violation, graph_certificate
 from flatcert.places import _charpoly_drift, _cyclotomic_split
 from flatcert.session import parse_graph
 
@@ -238,6 +240,31 @@ def test_cli_graph_drifts_each_charpoly_once_without_factoring(monkeypatch, tmp_
     assert factored == []
     charpolys = [args[0] for args in drifts]
     assert charpolys and len(charpolys) == len(set(charpolys))
+
+
+def test_cli_graph_proves_det_one_once_per_input_matrix(monkeypatch, tmp_path):
+    """Each matrix keeps its determinant, and the Gram products g_i g_j and
+    g_i g_j^-1 inherit det 1 from their factors, so parsing, place
+    discovery, validation and the Gram share one Bareiss run per matrix."""
+    doc = {
+        "tori": [{"id": "T1", "A": [["2", "0"], ["0", "1/2"]], "B": [["3", "0"], ["0", "1/3"]]}],
+        "gluings": [{"torus": "T1", "U": [[0, 1], [1, 0]], "secondBasisWords": ["b", "a"]}],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    dets = _count_calls(monkeypatch, linalg._det_bareiss)
+    res = CliRunner().invoke(main, ["graph", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["tag"] == "NPC"
+    assert len(dets) == 2
+
+
+def test_validate_reports_det_with_explicit_places():
+    """With explicit places, GraphRep.build runs no discover_places, so the
+    det check is validate's own."""
+    a, b = SqMatrix.diagonal([2, 1]), SqMatrix.identity(2)
+    rep = GraphRep.build([TorusRep(id="T1", a=a, b=b)], [], places=PlaceSet(primes=()))
+    assert validate(rep) == [Violation("T1", "DeterminantNotOne", "a has det 2")]
 
 
 def test_graph_certificate_matches_standalone_checks():

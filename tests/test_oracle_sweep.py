@@ -1,6 +1,7 @@
-"""Construction-oracle sweep of `decompose`: seeded commuting families from
-bench/gen.py, whose blocks are known from their construction, are checked
-by bench/oracle.py against the report the CLI prints.
+"""Construction-oracle sweeps of `decompose` and `graph`: seeded commuting
+families from bench/gen.py, and graphs of such tori from bench/workloads.py,
+whose blocks and certificates are known from their construction, are
+checked by bench/oracle.py against the report the CLI prints.
 
 The bench modules are imported read-only: no bytecode is written under
 bench/.
@@ -24,6 +25,7 @@ sys.path.insert(0, BENCH)
 try:
     import gen
     import oracle
+    import workloads
 finally:
     sys.path.remove(BENCH)
     sys.dont_write_bytecode = _write_bytecode
@@ -45,3 +47,32 @@ def test_decompose_matches_construction(tmp_path, d, n):
         path.write_text(json.dumps(doc))
         res = CliRunner().invoke(main, ["-i", str(path), "decompose", "a", "b"])
         oracle.check(oracle.expect_blocks(models, fld), res.exit_code, res.stdout)
+
+
+# torus kinds at n = 2-4; a unipotent torus needs n >= 3
+GRAPH_CASES = [
+    (kind, n)
+    for kind in ("lattice", "hyp", "unip", "power", "finite")
+    for n in range(3 if kind == "unip" else 2, 5)
+]
+# hyperbolic exponents k whose Gram words stay outside the known failing
+# band h^10..h^29 (ROADMAP item 1): below n = 4 a hyperbolic torus is
+# {h^k, h^2k}, and its Gram analyses h^3k and h^-k as well
+HYP_POWERS = (1, 2, 3, 30, 41)
+
+
+@pytest.mark.parametrize("kind, n", GRAPH_CASES, ids=[f"{k}-n{n}" for k, n in GRAPH_CASES])
+def test_graph_matches_construction(tmp_path, kind, n):
+    for seed in range(30):
+        rng = random.Random(f"graph/{kind}/{n}/{seed}")
+        # the torus of this kind among up to two lattice tori, at any position
+        extra = seed % 3
+        tori = [workloads._torus(rng, "lattice", rng.choice((2, 3, 4))) for _ in range(extra)]
+        hyp_k = rng.choice(HYP_POWERS) if kind == "hyp" else 1
+        tori.insert(rng.randrange(extra + 1), workloads._torus(rng, kind, n, hyp_k))
+        doc = workloads._graph_doc(rng, tori)
+        path = tmp_path / f"g{seed}.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["graph", str(path)])
+        expect = oracle.expect_graph([(f"T{i + 1}", t) for i, t in enumerate(tori)])
+        oracle.check(expect, res.exit_code, res.stdout)

@@ -1,13 +1,17 @@
 """Session parsing and the CLI contract: reports, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcert import parse_session
 from flatcert.cli import main
 from flatcert.errors import DeterminantNotOne, DimensionMismatch, NotIrreducible, ParseError
+from flatcert.session import _rational
 
 SESSION = json.dumps(
     {
@@ -54,6 +58,29 @@ def test_parse_session_errors():
         )
     with pytest.raises(ParseError):
         parse_session(json.dumps({"generators": {"Bad": [["1"]]}}))
+
+
+# signs, ASCII and non-ASCII digits, "/", whitespace, "_", ".", "e"
+SCALAR_CHARS = list("-+0123456789/ _.eE\t\n") + ["\u0663", "\u06f7", "\uff10", "\u00a0"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(st.sampled_from(SCALAR_CHARS), max_size=12)
+    | st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
+    | st.from_regex(r"-?[0-9]{1,5}/0{1,3}", fullmatch=True)
+)
+def test_rational_reads_what_fraction_reads(s):
+    """The plain "-p/q" fast path agrees with Fraction(str), and anything
+    Fraction refuses, a zero denominator included, is a ParseError."""
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            _rational(s)
+    else:
+        got = _rational(s)
+        assert type(got) is Fraction and got == want
 
 
 def test_parse_session_rejects_field_det_of_norm_one():
