@@ -53,7 +53,7 @@ def _rational(value) -> Fraction:
         try:
             if isinstance(value, str) and (m := _PLAIN.fullmatch(value)):
                 p, q = m.groups()
-                return Fraction(int(p), int(q)) if q else Fraction(int(p))
+                return Fraction(int(p), int(q or 1))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
