@@ -83,6 +83,7 @@ class BudgetExceeded(FlatcertError):
 
 class ParseError(FlatcertError):
     module = "cli"
+    FOUND_LIMIT = 160  # characters of the offending value's repr that the message shows
 
     def __init__(self, position, expected, found=None, line=None, column=None):
         self.position = position
@@ -91,7 +92,10 @@ class ParseError(FlatcertError):
         self.line = line
         self.column = column
         where = f"line {line}, column {column}" if line is not None else f"position {position}"
-        super().__init__(f"parse error at {where}: expected {expected}, found {found!r}")
+        shown = repr(found)
+        if len(shown) > self.FOUND_LIMIT:
+            shown = f"{shown[:self.FOUND_LIMIT]}... ({len(shown)} characters)"
+        super().__init__(f"parse error at {where}: expected {expected}, found {shown}")
 
 
 class NotCommuting(FlatcertError):

@@ -2,7 +2,7 @@
 factorization, root isolation, Newton polygons, integer factorization."""
 
 from .integers import euler_phi, is_prime, padic_valuation, prime_factors
-from .newton import NewtonSlopes, newton_slopes
+from .newton import newton_slopes
 from .numberfield import NumberField, make_field
 from .poly import (
     Poly,
@@ -23,7 +23,6 @@ __all__ = [
     "cyclotomic_index",
     "NumberField",
     "make_field",
-    "NewtonSlopes",
     "newton_slopes",
     "RootCluster",
     "complex_roots",

@@ -7,25 +7,13 @@ of slope s and horizontal length l as l roots of valuation -s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import NotMonic, ZeroConstantTerm
 from .integers import padic_valuation
 from .poly import Poly
 
-__all__ = ["NewtonSlopes", "newton_slopes"]
-
-
-@dataclass(frozen=True)
-class NewtonSlopes:
-    """Multiset of root valuations at one prime, sorted descending."""
-
-    prime: int
-    valuations: tuple[Fraction, ...]
-
-    def total(self) -> Fraction:
-        return sum(self.valuations, Fraction(0))
+__all__ = ["newton_slopes"]
 
 
 def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -43,8 +31,9 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def newton_slopes(p: Poly, prime: int) -> NewtonSlopes:
-    """Valuations (with multiplicity) of the deg(p) roots of monic p at prime."""
+def newton_slopes(p: Poly, prime: int) -> tuple[Fraction, ...]:
+    """Valuations (with multiplicity) of the deg(p) roots of monic p at
+    prime, sorted descending."""
     if not p.is_monic():
         raise NotMonic(f"Newton polygon requires a monic polynomial, got {p!r}")
     if p[0] == 0:
@@ -60,4 +49,4 @@ def newton_slopes(p: Poly, prime: int) -> NewtonSlopes:
         slope = Fraction(y2 - y1, x2 - x1)
         vals.extend([-slope] * (x2 - x1))
     assert len(vals) == p.degree
-    return NewtonSlopes(prime=prime, valuations=tuple(sorted(vals, reverse=True)))
+    return tuple(sorted(vals, reverse=True))

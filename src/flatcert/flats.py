@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DeterminantNotOne, NotBallistic, NotCommuting, NumericalInconclusive
+from .errors import DeterminantNotOne, NotCommuting, NumericalInconclusive
 from .blocks import kernel_basis, verify_commuting
 from .linalg import SqMatrix
 from .places import Classification, PlaceSet, _drift, classify, discover_places, drift_profile
@@ -30,7 +30,6 @@ __all__ = [
     "length_sq",
     "gram",
     "flat_certificate",
-    "tits_angle",
     "PD_EPSILON",
 ]
 
@@ -119,8 +118,8 @@ def gram(family: CommutingFamily, *, tol: float = 1e-12) -> GramData:
     for i in range(r):
         for j in range(i + 1, r):
             gi, gj = family.gens[i], family.gens[j]
-            plus = _drift(gi * gj, family.places, None, tol)[0]
-            minus = _drift(gi * gj.inverse(), family.places, None, tol)[0]
+            plus = _drift(gi * gj, family.places, tol)[0]
+            minus = _drift(gi * gj.inverse(), family.places, tol)[0]
             arch[i][j] = arch[j][i] = (plus.length2_arch() - minus.length2_arch()) / 4.0
             nonarch[i][j] = nonarch[j][i] = (plus.length2_nonarch() - minus.length2_nonarch()) / 4
     return GramData(
@@ -190,11 +189,11 @@ def _primitive(vec: list[Fraction]) -> tuple[int, ...] | None:
     return tuple(ints)
 
 
-def _rationalize(vec: tuple[float, ...], max_denominator: int = 10**6) -> tuple[int, ...] | None:
+def _rationalize(vec: tuple[float, ...]) -> tuple[int, ...] | None:
     scale = max(abs(x) for x in vec)
     if scale == 0:
         return None
-    fr = [Fraction(x / scale).limit_denominator(max_denominator) for x in vec]
+    fr = [Fraction(x / scale).limit_denominator(10**6) for x in vec]
     return _primitive(fr)
 
 
@@ -350,18 +349,3 @@ def flat_certificate(
         witness_class=primary_class,
         null_vectors=tuple(independent),
     )
-
-
-def tits_angle(family: CommutingFamily, i: int, j: int, *, tol: float = 1e-12) -> float:
-    """Angle between the i-th and j-th generators' drift directions,
-    arccos(G_ij / sqrt(G_ii G_jj)) on the combined Gram."""
-    for k in (i, j):
-        cls = classify(family.gens[k], family.places, label=family.names[k], tol=tol)
-        if not cls.is_ballistic:
-            raise NotBallistic(
-                f"generator {family.names[k]!r} classifies {cls}; "
-                "the Tits angle needs ballistic generators"
-            )
-    g = gram(family, tol=tol).combined()
-    c = g[i][j] / math.sqrt(g[i][i] * g[j][j])
-    return math.acos(max(-1.0, min(1.0, c)))

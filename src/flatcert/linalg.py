@@ -11,9 +11,10 @@ and determinant interpolation).  The determinant and the characteristic
 polynomial are kept on the matrix after the first call.  A matrix over
 Q(alpha) is only ever a grid of regular_matrix blocks, one per entry:
 embed_regular decides its determinant in the field by elimination over the
-commuting blocks, and tiles the blocks into one rational matrix.  Kernels, the pairwise commutation check and the block
-decomposition of commuting families live in flatcert.blocks, which only
-flat, decompose and graph load; their names are re-exported here lazily.
+commuting blocks, and tiles the blocks into one rational matrix.
+Kernels, the pairwise commutation check and the block decomposition of
+commuting families live in flatcert.blocks, which only flat, decompose and
+graph load; kernel_basis and block_decompose are re-exported here lazily.
 """
 
 from __future__ import annotations
@@ -35,21 +36,13 @@ __all__ = [
     "embed_regular",
     "regular_matrix",
     "kernel_basis",
-    "is_unipotent",
     "is_diagonalizable",
-    "finite_order",
     "order_bound",
-    "CommutationWitness",
-    "verify_commuting",
-    "BlockDecomposition",
     "block_decompose",
     "poly_at_matrix",
 ]
 
-_BLOCKS = frozenset(
-    ("kernel_basis", "CommutationWitness", "verify_commuting", "BlockDecomposition",
-     "block_decompose")
-)
+_BLOCKS = frozenset(("kernel_basis", "block_decompose"))
 
 
 def __getattr__(name: str):
@@ -399,11 +392,6 @@ def poly_at_matrix(p: Poly, m: SqMatrix) -> SqMatrix:
 # -- element predicates ------------------------------------------------------
 
 
-def is_unipotent(m: SqMatrix) -> bool:
-    """True iff charpoly(m) = (x - 1)^n exactly."""
-    return charpoly(m) == Poly([-1, 1]) ** m.n
-
-
 def is_diagonalizable(m: SqMatrix) -> bool:
     """True iff the squarefree part of charpoly annihilates m (minimal
     polynomial squarefree, hence diagonalizable over C)."""
@@ -423,16 +411,3 @@ def order_bound(n: int) -> int:
         if euler_phi(k) <= n:
             best = k
     return best
-
-
-def finite_order(m: SqMatrix, bound: int | None = None) -> int | None:
-    """Smallest k <= bound with m^k = I, else None; default bound from the
-    Euler-totient degree bound on roots of unity."""
-    if bound is None:
-        bound = order_bound(m.n)
-    power = m
-    for k in range(1, bound + 1):
-        if power.is_identity():
-            return k
-        power = power * m
-    return None

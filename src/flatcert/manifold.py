@@ -167,7 +167,7 @@ def _require_valid(rep: GraphRep) -> None:
 
 
 def npc_certificate(
-    rep: GraphRep, pd_epsilon: float | None = None, *, tol: float = 1e-12
+    rep: GraphRep, pd_epsilon: float = PD_EPSILON, *, tol: float = 1e-12
 ) -> NpcResult:
     """Run the thick-flat certificate on every torus.
 
@@ -180,13 +180,11 @@ def npc_certificate(
     return _npc_certificate(rep, pd_epsilon, tol)
 
 
-def _npc_certificate(rep: GraphRep, pd_epsilon: float | None, tol: float) -> NpcResult:
-    eps = PD_EPSILON if pd_epsilon is None else pd_epsilon
-
+def _npc_certificate(rep: GraphRep, pd_epsilon: float, tol: float) -> NpcResult:
     def per_torus(t: TorusRep) -> tuple[str, FlatCertificate]:
         # every caller ran _require_valid, which proved det 1 and commutation
         family = CommutingFamily(names=("a", "b"), gens=(t.a, t.b), places=rep.places)
-        return t.id, flat_certificate(family, eps, tol=tol)
+        return t.id, flat_certificate(family, pd_epsilon, tol=tol)
 
     certs = tuple(per_torus(t) for t in rep.tori)
     for torus_id, cert in certs:
@@ -209,7 +207,7 @@ class GluingReport:
     arch_max_rel_err: float
 
 
-def gluing_covariance(rep: GraphRep, *, tol: float = 1e-12) -> list[GluingReport]:
+def gluing_covariance(rep: GraphRep) -> list[GluingReport]:
     """The Gram transport gram(second basis) = U^T gram(first basis) U
     per gluing.
 
@@ -217,8 +215,8 @@ def gluing_covariance(rep: GraphRep, *, tol: float = 1e-12) -> list[GluingReport
     a^u00*b^u10, a^u01*b^u11 of its torus basis, and drift is a
     homomorphism Z^2 -> R^N on a commuting pair, so the transport holds
     exactly on every valid representation: each report is ok, with an
-    exact non-archimedean part and an archimedean error of 0.  tol is
-    accepted for the shared entry-point signature; nothing is computed.
+    exact non-archimedean part and an archimedean error of 0; nothing is
+    computed.
     """
     _require_valid(rep)
     return _gluing_reports(rep)
@@ -232,7 +230,7 @@ def _gluing_reports(rep: GraphRep) -> list[GluingReport]:
 
 
 def graph_certificate(
-    rep: GraphRep, pd_epsilon: float | None = None, *, tol: float = 1e-12
+    rep: GraphRep, pd_epsilon: float = PD_EPSILON, *, tol: float = 1e-12
 ) -> tuple[NpcResult, list[GluingReport]]:
     """npc_certificate and gluing_covariance on one validation."""
     _require_valid(rep)

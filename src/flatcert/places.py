@@ -42,7 +42,6 @@ class PlaceSet:
     archimedean place plus the primes dividing entry denominators."""
 
     primes: tuple[int, ...]
-    archimedean: bool = True
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class DriftProfile:
 
     arch: tuple[float, ...]
     padic: dict[int, tuple[Fraction, ...]]
-    label: str | None = None
 
     def length2_arch(self) -> float:
         return sum(x * x for x in self.arch)
@@ -192,26 +190,22 @@ def _charpoly_drift(
     result is immutable because every caller shares it.  Raised errors
     (ToleranceNotReached) are not cached.
     """
-    padic = tuple((p, newton_slopes(cp, p).valuations) for p in primes)
+    padic = tuple((p, newton_slopes(cp, p)) for p in primes)
     c, ks = _cyclotomic_split(cp, order_bound(cp.degree))
     arch = _arch_drift(c, cp.degree, padic, tol)
     return tuple(arch), padic, math.lcm(*ks) if len(c) == 1 else None
 
 
-def _drift(
-    m: SqMatrix, places: PlaceSet, label: str | None, tol: float
-) -> tuple[DriftProfile, int | None]:
+def _drift(m: SqMatrix, places: PlaceSet, tol: float) -> tuple[DriftProfile, int | None]:
     arch, padic, order = _charpoly_drift(charpoly(m), places.primes, tol)
-    return DriftProfile(arch=arch, padic=dict(padic), label=label), order
+    return DriftProfile(arch=arch, padic=dict(padic)), order
 
 
-def drift_profile(
-    m: SqMatrix, places: PlaceSet, label: str | None = None, *, tol: float = 1e-12
-) -> DriftProfile:
+def drift_profile(m: SqMatrix, places: PlaceSet, *, tol: float = 1e-12) -> DriftProfile:
     """Sorted per-place drift coordinates of a det-1 rational matrix."""
     _check_det_one(m)
     _check_places_complete(m, places)
-    return _drift(m, places, label, tol)[0]
+    return _drift(m, places, tol)[0]
 
 
 def classify(
@@ -233,11 +227,9 @@ def classify(
     _check_det_one(m, name=label)
     _check_places_complete(m, places)
     if m.is_identity():
-        zero = DriftProfile(
-            arch=(0.0,) * m.n, padic={p: (Fraction(0),) * m.n for p in places.primes}, label=label
-        )
+        zero = DriftProfile(arch=(0.0,) * m.n, padic={p: (Fraction(0),) * m.n for p in places.primes})
         return Classification(tag="Identity", profile=zero)
-    profile, order = _drift(m, places, label, tol)
+    profile, order = _drift(m, places, tol)
     if order == 1:
         return Classification(tag="Unipotent", profile=profile)
     if order is not None:

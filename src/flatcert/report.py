@@ -76,7 +76,7 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
-def render_text(obj, prefix: str = "") -> str:
+def render_text(obj) -> str:
     """Flat key: value lines for --text mode."""
     lines: list[str] = []
 
@@ -98,7 +98,7 @@ def render_text(obj, prefix: str = "") -> str:
                 val = "null"
             else:
                 val = str(node)
-            lines.append(f"{prefix}{path} = {val}")
+            lines.append(f"{path} = {val}")
 
     walk(obj, "")
     return "\n".join(lines)
@@ -108,7 +108,8 @@ def render_text(obj, prefix: str = "") -> str:
 
 
 def places_dict(places: PlaceSet) -> dict:
-    return {"archimedean": places.archimedean, "primes": list(places.primes)}
+    # the aggregate archimedean place is always in the set
+    return {"archimedean": True, "primes": list(places.primes)}
 
 
 def classification_dict(cls: Classification) -> dict:
@@ -153,7 +154,7 @@ def flat_dict(cert: FlatCertificate) -> dict:
     }
 
 
-def npc_dict(result: NpcResult, gluing_reports: list[GluingReport] | None = None) -> dict:
+def npc_dict(result: NpcResult, gluing_reports: list[GluingReport]) -> dict:
     out: dict = {
         "tag": result.tag,
         "tori": {tid: flat_dict(cert) for tid, cert in result.tori},
@@ -164,14 +165,13 @@ def npc_dict(result: NpcResult, gluing_reports: list[GluingReport] | None = None
             "witness": result.witness_word,
             "witnessClass": classification_dict(result.witness_class),
         }
-    if gluing_reports is not None:
-        out["gluings"] = [
-            {
-                "torus": r.torus,
-                "ok": r.ok,
-                "nonarchExact": r.nonarch_exact,
-                "archMaxRelErr": r.arch_max_rel_err,
-            }
-            for r in gluing_reports
-        ]
+    out["gluings"] = [
+        {
+            "torus": r.torus,
+            "ok": r.ok,
+            "nonarchExact": r.nonarch_exact,
+            "archMaxRelErr": r.arch_max_rel_err,
+        }
+        for r in gluing_reports
+    ]
     return out

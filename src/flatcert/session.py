@@ -89,11 +89,10 @@ def parse_matrix(rows, field: NumberField | None) -> list[list[Fraction | SqMatr
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """Validated session: the parsed generator grids, their rational
-    embeddings, and the discovered places of the embedded family."""
+    """Validated session: the rational embeddings of the generators, and
+    the discovered places of the embedded family."""
 
     field: NumberField | None
-    generators: dict[str, list[list[Fraction | SqMatrix]]]
     embedded: dict[str, SqMatrix]
     places: PlaceSet
 
@@ -153,7 +152,7 @@ def parse_session(text: str) -> SessionSpec:
         except DeterminantNotOne as e:
             raise DeterminantNotOne(name=name, det=e.det) from None
     places = discover_places(list(embedded.values()))
-    return SessionSpec(field=field, generators=generators, embedded=embedded, places=places)
+    return SessionSpec(field=field, embedded=embedded, places=places)
 
 
 def _require_keys(obj, keys: tuple[str, ...], expected: str) -> None:

@@ -116,8 +116,13 @@ class _Parser:
 
 
 def parse_word(text: str) -> WordExpr:
-    """Parse a word expression; raises ParseError with the 0-based position."""
-    return _Parser(text).parse()
+    """Parse a word expression; raises ParseError with the 0-based position,
+    also for parentheses nested past the interpreter's recursion limit."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError(parser.pos, "fewer nested parentheses", "too deep a nesting") from None
 
 
 def render_word(expr: WordExpr) -> str:

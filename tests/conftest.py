@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import sympy
 
-from flatcert import Poly, SqMatrix
+from flatcert import Poly, SqMatrix, charpoly
 from flatcert.exact import RootCluster, complex_roots, cyclotomic_index
 from flatcert.linalg import order_bound
 
@@ -20,6 +20,12 @@ def random_det1(rng: random.Random, sizes=(2, 3, 4), entries=DET1_ENTRIES) -> Sq
         m = SqMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
         if m.det() == 1:
             return m
+
+
+def is_unipotent(m: SqMatrix) -> bool:
+    """True iff charpoly(m) = (x - 1)^n exactly: the oracle for a unipotent
+    image, which the program decides through its cyclotomic split."""
+    return charpoly(m) == Poly([-1, 1]) ** m.n
 
 
 def det1_corpus(seed: int, count: int, sizes=(2, 3, 4)) -> list[SqMatrix]:

@@ -196,7 +196,8 @@ def test_huge_gluing_entry_is_a_budget_error():
 @pytest.mark.parametrize("args", [["-i", "doc.json", "places"], ["graph", "doc.json"]])
 def test_oversized_entry_is_a_parse_error(args, entry):
     """Past int()'s digit limit for strings, and past the recursion limit of
-    the JSON decoder, an entry is refused with a report, not a traceback."""
+    the JSON decoder, an entry is refused with a report, not a traceback,
+    and the report does not echo the whole entry."""
     row = f'[[{entry}, "0"], ["0", "1"]]'
     doc = (
         f'{{"generators": {{"a": {row}}}}}'
@@ -204,6 +205,33 @@ def test_oversized_entry_is_a_parse_error(args, entry):
         else f'{{"tori": [{{"id": "T1", "A": {row}, "B": [["1", "0"], ["0", "1"]]}}]}}'
     )
     res = _run(args, doc)
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert json.loads(res.stderr)["error"]["type"] == "ParseError"
+    assert len(res.stderr.encode()) < 1000
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "a" + ")" * depth
+
+
+@pytest.mark.parametrize("depth, code", [(200, 0), (400, 1)])
+def test_deeply_nested_word_is_a_parse_error(depth, code):
+    """Parentheses nested past the recursion limit are refused with a
+    report, not a RecursionError traceback; a 200-deep word still parses."""
+    doc = json.dumps({"generators": {"a": [["2", "1"], ["1", "1"]]}})
+    res = _run(["-i", "doc.json", "classify", _nested(depth)], doc)
+    assert res.exit_code == code
+    if code:
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"]["type"] == "ParseError"
+    else:
+        assert json.loads(res.stdout)["tag"] == "Ballistic"
+
+
+def test_deeply_nested_second_basis_word_is_a_parse_error():
+    torus = {"id": "T1", "A": [["2", "1"], ["1", "1"]], "B": [["1", "0"], ["0", "1"]]}
+    gluing = {"torus": "T1", "U": [[1, 0], [0, 1]], "secondBasisWords": [_nested(400), "b"]}
+    res = _run(["graph", "doc.json"], json.dumps({"tori": [torus], "gluings": [gluing]}))
     assert (res.exit_code, res.stdout) == (1, "")
     assert json.loads(res.stderr)["error"]["type"] == "ParseError"
 

@@ -1,5 +1,5 @@
 """Gram polarization against the joint-indexing oracle, parallelogram law,
-certificates, Tits angles."""
+certificates."""
 
 import json
 import math
@@ -21,12 +21,11 @@ from flatcert import (
     flat_certificate,
     gram,
     length_sq,
-    tits_angle,
     verify_commuting,
     word_eval,
 )
 from flatcert.cli import main
-from flatcert.errors import DeterminantNotOne, NotBallistic, NotCommuting, PlaceSetIncomplete
+from flatcert.errors import DeterminantNotOne, NotCommuting, PlaceSetIncomplete
 from flatcert.exact.integers import padic_valuation
 from flatcert.flats import _eigh, _lattice_covolume
 from flatcert.places import _charpoly_drift
@@ -257,33 +256,6 @@ def test_gram_basis_covariance():
                     for l in range(2)
                 )
                 assert g2.nonarch[i][j] == expect
-
-
-def test_tits_angle_examples():
-    fam = CommutingFamily.build(
-        [("a", SqMatrix.diagonal([2, F(1, 2)])), ("b", SqMatrix.diagonal([F(1, 2), 2]))]
-    )
-    assert abs(tits_angle(fam, 0, 1) - math.pi) < 1e-9
-
-    m = SqMatrix.diagonal([2, F(1, 2)])
-    fam2 = CommutingFamily.build([("a", m), ("b", m * m)])
-    # arccos near cos = 1 amplifies float error to sqrt(eps)
-    assert abs(tits_angle(fam2, 0, 1)) < 1e-7
-
-    fam3 = CommutingFamily.build(
-        [("a", SqMatrix.diagonal([2, F(1, 2)])), ("b", SqMatrix.diagonal([3, F(1, 3)]))],
-        places=PlaceSet(primes=(2, 3)),
-    )
-    # the Gram-entry formula is the oracle here
-    l2, l3 = math.log(2), math.log(3)
-    expected = math.acos((2 * l2 * l3) / math.sqrt((2 * l2 * l2 + 2) * (2 * l3 * l3 + 2)))
-    assert abs(tits_angle(fam3, 0, 1) - expected) < 1e-10
-
-    fam4 = CommutingFamily.build(
-        [("a", SqMatrix.diagonal([2, F(1, 2)])), ("b", SqMatrix.identity(2))]
-    )
-    with pytest.raises(NotBallistic):
-        tits_angle(fam4, 0, 1)
 
 
 def test_family_rejects_noncommuting():

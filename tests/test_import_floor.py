@@ -224,14 +224,21 @@ def test_import_cli_loads_only_the_core(tmp_path):
 
 
 def test_lazy_exports_resolve(tmp_path):
-    # every public name and every submodule resolves on first access
+    # every public name and every submodule resolves on first access, and
+    # the names that no command runs are gone
     code = (
         "import flatcert\n"
         "for name in flatcert.__all__:\n"
         "    getattr(flatcert, name)\n"
         "assert flatcert.exact.factor_q is flatcert.factor_q\n"
         "assert flatcert.linalg.block_decompose is flatcert.block_decompose\n"
-        "assert callable(flatcert.parallel.pmap)"
+        "assert callable(flatcert.parallel.pmap)\n"
+        "for home, names in ((flatcert, ('tits_angle', 'finite_order', 'is_unipotent',\n"
+        "                                'NewtonSlopes')),\n"
+        "                    (flatcert.linalg, ('verify_commuting', 'CommutationWitness',\n"
+        "                                       'BlockDecomposition'))):\n"
+        "    for name in names:\n"
+        "        assert not hasattr(home, name), name"
     )
     # report and cli hold no public name, and nothing asked for the factorizer
     loaded = CORE - {"flatcert.report"} | GRAPH_MODULES | {"flatcert.parallel"}

@@ -15,9 +15,7 @@ from flatcert import (
     SqMatrix,
     charpoly,
     embed_regular,
-    finite_order,
     is_diagonalizable,
-    is_unipotent,
     kernel_basis,
     make_field,
     word_eval,
@@ -34,6 +32,7 @@ from conftest import (
     expand_roots,
     identity_grid,
     inverse_grid,
+    is_unipotent,
     mul_grid,
     unimodular,
 )
@@ -370,13 +369,6 @@ def test_unipotent_nontrivial_never_diagonalizable():
             assert is_diagonalizable(m)
         else:
             assert is_unipotent(m) and not is_diagonalizable(m)
-
-
-def test_finite_order():
-    assert finite_order(SqMatrix.identity(2)) == 1
-    assert finite_order(SqMatrix([[0, -1], [1, 0]])) == 4
-    # trace 3 > 2 forbids finite order in SL_2
-    assert finite_order(SqMatrix([[2, 1], [1, 1]])) is None
 
 
 def test_word_eval_examples():

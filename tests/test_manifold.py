@@ -20,7 +20,6 @@ from flatcert import (
     discover_places,
     factor_q,
     gluing_covariance,
-    is_unipotent,
     npc_certificate,
     validate,
     word_eval,
@@ -32,7 +31,14 @@ from flatcert.manifold import InvalidGraphRep, Violation, graph_certificate
 from flatcert.places import _charpoly_drift, _cyclotomic_split
 from flatcert.session import parse_graph
 
-from conftest import congruence, gram_close, random_diag_23, unimodular, unimodular_2x2
+from conftest import (
+    congruence,
+    gram_close,
+    is_unipotent,
+    random_diag_23,
+    unimodular,
+    unimodular_2x2,
+)
 
 D2 = SqMatrix.diagonal([2, F(1, 2)])
 D3 = SqMatrix.diagonal([3, F(1, 3)])

@@ -12,17 +12,15 @@ from flatcert.exact.integers import padic_valuation
 
 def test_examples():
     # roots 2 and 1/2
-    s = newton_slopes(Poly([1, F(-5, 2), 1]), 2)
-    assert sorted(s.valuations) == [F(-1), F(1)]
+    assert sorted(newton_slopes(Poly([1, F(-5, 2), 1]), 2)) == [F(-1), F(1)]
     # x - 1 at any prime
     for p in (2, 3, 5):
-        assert newton_slopes(Poly([-1, 1]), p).valuations == (F(0),)
+        assert newton_slopes(Poly([-1, 1]), p) == (F(0),)
     # regular representation of diag(sqrt2, 1/sqrt2): the degree-4 charpoly
     # is (x^2-2)(x^2-1/2) = x^4 - (5/2)x^2 + 1, verified by expansion
     quartic = Poly([-2, 0, 1]) * Poly([F(-1, 2), 0, 1])
     assert quartic == Poly([1, 0, F(-5, 2), 0, 1])
-    s = newton_slopes(quartic, 2)
-    assert sorted(s.valuations) == [F(-1, 2), F(-1, 2), F(1, 2), F(1, 2)]
+    assert sorted(newton_slopes(quartic, 2)) == [F(-1, 2), F(-1, 2), F(1, 2), F(1, 2)]
 
 
 def test_errors():
@@ -43,8 +41,7 @@ def test_hull_endpoint_identity():
             coeffs[0] = F(1)
         p = Poly(coeffs)
         for q in (2, 3):
-            s = newton_slopes(p, q)
-            assert s.total() == padic_valuation(p[0], q)
+            assert sum(newton_slopes(p, q)) == padic_valuation(p[0], q)
 
 
 def test_product_of_linear_factors():
@@ -55,5 +52,5 @@ def test_product_of_linear_factors():
         p = Poly([1])
         for a, b in exps:
             p = p * Poly([-(F(2) ** a * F(3) ** b), 1])
-        assert sorted(newton_slopes(p, 2).valuations) == sorted(F(a) for a, _ in exps)
-        assert sorted(newton_slopes(p, 3).valuations) == sorted(F(b) for _, b in exps)
+        assert sorted(newton_slopes(p, 2)) == sorted(F(a) for a, _ in exps)
+        assert sorted(newton_slopes(p, 3)) == sorted(F(b) for _, b in exps)

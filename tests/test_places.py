@@ -26,7 +26,13 @@ from flatcert.linalg import charpoly
 from flatcert.places import _charpoly_drift
 from flatcert.report import profile_dict, render_json
 
-from conftest import arch_drift_factor, det1_corpus, quasi_unipotent_order_factor, unimodular
+from conftest import (
+    arch_drift_factor,
+    det1_corpus,
+    is_unipotent,
+    quasi_unipotent_order_factor,
+    unimodular,
+)
 
 # integer polynomials with no cyclotomic factor: x^2-3x+1 (golden ratio
 # squared), x^2+3x+1, x^3-x-1 (plastic number), x^4-x^3-x^2-x+1 (Salem)
@@ -237,8 +243,6 @@ def test_classify_virtually_unipotent():
     cls = classify(m, PlaceSet(primes=()))
     assert cls.tag == "VirtuallyUnipotent"
     assert cls.order == 2
-    from flatcert import is_unipotent
-
     assert is_unipotent(m**2) and not (m**2).is_identity()
 
 

@@ -26,7 +26,7 @@ SESSION = json.dumps(
 
 def test_parse_session_ok():
     spec = parse_session(SESSION)
-    assert set(spec.generators) == {"a", "b", "c", "u"}
+    assert set(spec.embedded) == {"a", "b", "c", "u"}
     assert spec.places.primes == (2, 3)
     assert spec.field is None
 
