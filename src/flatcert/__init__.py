@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it, in the order of __all__
 _EXPORTS = {
-    "Poly": "exact", "NumberField": "exact", "make_field": "exact", "factor_q": "exact",
+    "Poly": "exact", "make_field": "exact", "factor_q": "exact",
     "squarefree_part": "exact", "complex_roots": "exact", "newton_slopes": "exact",
     "prime_factors": "exact", "cyclotomic": "exact",
     "SqMatrix": "linalg", "BlockDecomposition": "blocks", "charpoly": "linalg",
     "embed_regular": "linalg", "kernel_basis": "blocks", "is_diagonalizable": "linalg",
     "block_decompose": "blocks",
-    "PlaceSet": "places", "DriftProfile": "places", "Classification": "places",
+    "DriftProfile": "places", "Classification": "places",
     "discover_places": "places", "drift_profile": "places", "classify": "places",
     "direction_profile": "places",
     "CommutingFamily": "flats", "GramData": "flats", "FlatCertificate": "flats",

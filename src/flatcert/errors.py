@@ -23,7 +23,6 @@ class NotIrreducible(FlatcertError):
     module = "exact"
 
     def __init__(self, poly, factor):
-        self.poly = poly
         self.factor = factor
         super().__init__(f"polynomial {poly} is reducible; factor: {factor}")
 
@@ -32,8 +31,6 @@ class ToleranceNotReached(FlatcertError):
     module = "exact"
 
     def __init__(self, iterations, worst_bound):
-        self.iterations = iterations
-        self.worst_bound = worst_bound
         super().__init__(
             f"root refinement did not reach tolerance after {iterations} "
             f"iterations (worst residual bound {worst_bound:.3e})"
@@ -75,7 +72,6 @@ class BudgetExceeded(FlatcertError):
     module = "words"
 
     def __init__(self, what, estimate, limit):
-        self.what = what
         self.estimate = estimate
         self.limit = limit
         super().__init__(f"{what} needs an estimated {estimate} bits, over the budget of {limit}")
@@ -87,10 +83,8 @@ class ParseError(FlatcertError):
 
     def __init__(self, position, expected, found=None, line=None, column=None):
         self.position = position
-        self.expected = expected
         self.found = found
         self.line = line
-        self.column = column
         where = f"line {line}, column {column}" if line is not None else f"position {position}"
         shown = repr(found)
         if len(shown) > self.FOUND_LIMIT:

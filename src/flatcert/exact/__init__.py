@@ -3,7 +3,7 @@ factorization, root isolation, Newton polygons, integer factorization."""
 
 from .integers import euler_phi, is_prime, padic_valuation, prime_factors
 from .newton import newton_slopes
-from .numberfield import NumberField, make_field
+from .numberfield import make_field
 from .poly import (
     Poly,
     cyclotomic,
@@ -21,7 +21,6 @@ __all__ = [
     "factor_q",
     "cyclotomic",
     "cyclotomic_index",
-    "NumberField",
     "make_field",
     "newton_slopes",
     "RootCluster",

@@ -1,6 +1,6 @@
 """Number fields Q(alpha) presented by a monic irreducible integer minpoly.
 
-A field here is only its checked minimal polynomial and degree.  Its
+A field here is only its checked minimal polynomial, a Poly.  Its
 elements never exist as such: a session entry, given by coordinates in the
 power basis 1, alpha, ..., alpha^(d-1), is parsed straight into its d x d
 regular matrix (linalg.regular_matrix), the rational matrix of
@@ -10,28 +10,16 @@ plain rational matrices while aggregating every complex embedding at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import NotIrreducible, NotMonic
 from .poly import Poly, factor_q
 
-__all__ = ["NumberField", "make_field"]
+__all__ = ["make_field"]
 
 
-@dataclass(frozen=True)
-class NumberField:
-    """Q[x]/(minpoly); degree-1 minpoly gives Q itself."""
-
-    minpoly: Poly
-
-    @property
-    def degree(self) -> int:
-        return self.minpoly.degree
-
-
-def make_field(minpoly: Poly) -> NumberField:
-    """Construct Q(alpha) after verifying minpoly is monic, integral and
-    irreducible over Q (via factor_q); degree 1 yields Q."""
+def make_field(minpoly: Poly) -> Poly:
+    """Q(alpha) = Q[x]/(minpoly), as minpoly itself after verifying that it
+    is monic, integral and irreducible over Q (via factor_q); degree 1
+    yields Q."""
     if minpoly.degree < 1:
         raise ValueError("minimal polynomial must have degree >= 1")
     if not minpoly.is_monic():
@@ -42,4 +30,4 @@ def make_field(minpoly: Poly) -> NumberField:
     if len(factors) > 1 or factors[0][1] > 1:
         witness = factors[0][0]
         raise NotIrreducible(minpoly, witness)
-    return NumberField(minpoly)
+    return minpoly

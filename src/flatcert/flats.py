@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DeterminantNotOne, NotCommuting, NumericalInconclusive
 from .blocks import kernel_basis, verify_commuting
 from .linalg import SqMatrix
-from .places import Classification, PlaceSet, _drift, classify, discover_places, drift_profile
+from .places import Classification, _drift, classify, discover_places, drift_profile
 from .words import power_word
 
 __all__ = [
@@ -42,13 +42,13 @@ class CommutingFamily:
 
     names: tuple[str, ...]
     gens: tuple[SqMatrix, ...]
-    places: PlaceSet
+    places: tuple[int, ...]
 
     @classmethod
     def build(
         cls,
         named_gens: list[tuple[str, SqMatrix]],
-        places: PlaceSet | None = None,
+        places: tuple[int, ...] | None = None,
     ) -> "CommutingFamily":
         for name, g in named_gens:
             if g.det() != 1:
@@ -76,7 +76,9 @@ class CommutingFamily:
         return out
 
 
-def length_sq(m: SqMatrix, places: PlaceSet, *, tol: float = 1e-12) -> tuple[float, Fraction]:
+def length_sq(
+    m: SqMatrix, places: tuple[int, ...], *, tol: float = 1e-12
+) -> tuple[float, Fraction]:
     """Squared translation length, split (archimedean float, non-archimedean
     exact rational)."""
     profile = drift_profile(m, places, tol=tol)
@@ -158,17 +160,17 @@ def _pivots(a: list[list[int]]) -> list[int] | None:
 
 @dataclass(frozen=True)
 class FlatCertificate:
-    """Lattice(rank, covolume) or Degenerate(null vector, witness, class).
+    """Lattice(rank, covolume) or Degenerate(null vectors, witness, class).
 
-    For Degenerate, lattice_rank is the number of independent verified
-    drift directions that remain, and null_vectors lists every verified
-    independent integer null vector.
+    For Degenerate, rank is the number of independent verified drift
+    directions that remain, null_vectors lists every verified independent
+    integer null vector, and the witness word, with its class, is the power
+    word of null_vectors[0].
     """
 
     tag: str
     rank: int
     covolume: float | None = None
-    null_vector: tuple[int, ...] | None = None
     witness_word: str | None = None
     witness_class: Classification | None = None
     null_vectors: tuple[tuple[int, ...], ...] | None = None
@@ -336,16 +338,13 @@ def flat_certificate(
             "combined Gram is numerically singular but no rational null direction "
             "could be verified by an exact witness"
         )
+    # _independent_over_q keeps the first vector (pivot |v|^2 > 0): it is verified[0]
     independent = _independent_over_q([v for v, _, _ in verified])
-    null_rank = len(independent)
-    primary_vec, primary_word, primary_class = next(
-        (v, w, c) for v, w, c in verified if v == independent[0]
-    )
+    _, word, cls = verified[0]
     return FlatCertificate(
         tag="Degenerate",
-        rank=r - null_rank,
-        null_vector=primary_vec,
-        witness_word=primary_word,
-        witness_class=primary_class,
+        rank=r - len(independent),
+        witness_word=word,
+        witness_class=cls,
         null_vectors=tuple(independent),
     )

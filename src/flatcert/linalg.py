@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .errors import DeterminantNotOne, DimensionMismatch
 from .exact.integers import euler_phi
-from .exact.numberfield import NumberField
 from .exact.poly import Poly
 
 __all__ = [
@@ -300,16 +299,17 @@ def _berkowitz(a) -> list[int]:
     return p
 
 
-def regular_matrix(coords, field: NumberField) -> SqMatrix:
+def regular_matrix(coords, field: Poly) -> SqMatrix:
     """The d x d rational matrix of multiplication by the element of
-    Q(alpha) with power-basis coordinates coords (at most d of them).
+    Q(alpha) with power-basis coordinates coords (at most d of them); field
+    is the minpoly of alpha, as make_field returns it.
 
     It is sum_i coords[i] C^i for C the companion matrix of the minpoly:
     column j holds the coordinates of the element times alpha^j, so the
     first column is coords itself.  These matrices form a field isomorphic
     to Q(alpha); they commute, and every nonzero one is invertible.
     """
-    d, m = field.degree, field.minpoly.coeffs
+    d, m = field.degree, field.coeffs
     col = [Fraction(c) for c in coords] + [Fraction(0)] * (d - len(coords))
     cols = [col]
     for _ in range(d - 1):
@@ -320,7 +320,7 @@ def regular_matrix(coords, field: NumberField) -> SqMatrix:
     return SqMatrix(list(zip(*cols)))
 
 
-def embed_regular(rows, field: NumberField | None = None) -> SqMatrix:
+def embed_regular(rows, field: Poly | None = None) -> SqMatrix:
     """The rational SL matrix of a det-1 entry grid.
 
     Over Q (field None) the entries are rationals and the result is

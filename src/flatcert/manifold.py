@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import FlatcertError
 from .flats import PD_EPSILON, CommutingFamily, FlatCertificate, flat_certificate
 from .linalg import SqMatrix
-from .places import Classification, PlaceSet, discover_places
+from .places import discover_places
 from .words import Name, eval_power, word_eval
 
 __all__ = [
@@ -53,9 +53,6 @@ class TorusRep:
     a: SqMatrix
     b: SqMatrix
 
-    def named_gens(self) -> list[tuple[str, SqMatrix]]:
-        return [("a", self.a), ("b", self.b)]
-
 
 @dataclass(frozen=True)
 class GluingSpec:
@@ -67,30 +64,21 @@ class GluingSpec:
     u: tuple[tuple[int, int], tuple[int, int]]
     second_basis_words: tuple[str, str]
 
-    def det(self) -> int:
-        return self.u[0][0] * self.u[1][1] - self.u[0][1] * self.u[1][0]
-
 
 @dataclass(frozen=True)
 class GraphRep:
     tori: tuple[TorusRep, ...]
     gluings: tuple[GluingSpec, ...]
-    places: PlaceSet
+    places: tuple[int, ...]
 
     @classmethod
-    def build(cls, tori, gluings, places: PlaceSet | None = None) -> "GraphRep":
+    def build(cls, tori, gluings, places: tuple[int, ...] | None = None) -> "GraphRep":
         tori = tuple(tori)
         gluings = tuple(gluings)
         if places is None:
             mats = [m for t in tori for m in (t.a, t.b)]
             places = discover_places(mats)
         return cls(tori=tori, gluings=gluings, places=places)
-
-    def torus(self, torus_id: str) -> TorusRep:
-        for t in self.tori:
-            if t.id == torus_id:
-                return t
-        raise KeyError(torus_id)
 
 
 @dataclass(frozen=True)
@@ -110,27 +98,28 @@ def validate(rep: GraphRep) -> list[Violation]:
     """Commutativity per torus and exact basis/U consistency per gluing;
     violations are data, not exceptions."""
     out: list[Violation] = []
-    seen_ids: set[str] = set()
+    by_id: dict[str, TorusRep] = {}
     a_name, b_name = Name("a"), Name("b")
     for t in rep.tori:
-        if t.id in seen_ids:
+        if t.id in by_id:
             out.append(Violation(t.id, "DuplicateTorus", "another torus has the same id"))
-        seen_ids.add(t.id)
-        for name, m in t.named_gens():
+        by_id.setdefault(t.id, t)  # a gluing on a repeated id checks its first torus
+        for name, m in (("a", t.a), ("b", t.b)):
             d = m.det()
             if d != 1:
                 out.append(Violation(t.id, "DeterminantNotOne", f"{name} has det {d}"))
         if not t.a.commutes_with(t.b):
             out.append(Violation(t.id, "NotCommuting", "basis images do not commute"))
     for g in rep.gluings:
-        if g.torus not in seen_ids:
+        if g.torus not in by_id:
             out.append(Violation(g.torus, "UnknownTorus"))
             continue
-        if abs(g.det()) != 1:
-            out.append(Violation(g.torus, "BadGluingMatrix", f"det U = {g.det()}"))
-            continue
-        t = rep.torus(g.torus)
         u = g.u
+        det_u = u[0][0] * u[1][1] - u[0][1] * u[1][0]
+        if abs(det_u) != 1:
+            out.append(Violation(g.torus, "BadGluingMatrix", f"det U = {det_u}"))
+            continue
+        t = by_id[g.torus]
         # the U-words a^u0j * b^u1j, under the word power budget: U comes from
         # the input, and a huge entry would otherwise never finish
         expected = tuple(
@@ -151,13 +140,12 @@ def validate(rep: GraphRep) -> list[Violation]:
 
 @dataclass(frozen=True)
 class NpcResult:
-    """NPC(per-torus lattice certificates) or Obstruction(torus, witness)."""
+    """NPC(per-torus lattice certificates) or Obstruction(torus), whose
+    witness is the Degenerate certificate of that torus in tori."""
 
     tag: str
     tori: tuple[tuple[str, FlatCertificate], ...]
     obstruction_torus: str | None = None
-    witness_word: str | None = None
-    witness_class: Classification | None = None
 
 
 def _require_valid(rep: GraphRep) -> None:
@@ -189,13 +177,7 @@ def _npc_certificate(rep: GraphRep, pd_epsilon: float, tol: float) -> NpcResult:
     certs = tuple(per_torus(t) for t in rep.tori)
     for torus_id, cert in certs:
         if cert.tag == "Degenerate":
-            return NpcResult(
-                tag="Obstruction",
-                tori=certs,
-                obstruction_torus=torus_id,
-                witness_word=cert.witness_word,
-                witness_class=cert.witness_class,
-            )
+            return NpcResult(tag="Obstruction", tori=certs, obstruction_torus=torus_id)
     return NpcResult(tag="NPC", tori=certs)
 
 

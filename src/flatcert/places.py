@@ -25,7 +25,6 @@ from .exact.roots import complex_roots
 from .linalg import SqMatrix, charpoly, is_diagonalizable, order_bound
 
 __all__ = [
-    "PlaceSet",
     "DriftProfile",
     "Classification",
     "discover_places",
@@ -34,14 +33,6 @@ __all__ = [
     "direction_profile",
     "DirectionProfile",
 ]
-
-
-@dataclass(frozen=True)
-class PlaceSet:
-    """The finitely many places relevant to a generating set: one aggregate
-    archimedean place plus the primes dividing entry denominators."""
-
-    primes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -79,14 +70,6 @@ class Classification:
     diagonalizable: bool | None = None
 
     @property
-    def length2_arch(self) -> float:
-        return self.profile.length2_arch()
-
-    @property
-    def length2_nonarch(self) -> Fraction:
-        return self.profile.length2_nonarch()
-
-    @property
     def is_ballistic(self) -> bool:
         return self.tag == "Ballistic"
 
@@ -102,8 +85,10 @@ def _check_det_one(m: SqMatrix, name: str | None = None):
         raise DeterminantNotOne(name=name, det=d)
 
 
-def discover_places(gens: list[SqMatrix]) -> PlaceSet:
-    """Primes dividing any entry denominator of any generator.
+def discover_places(gens: list[SqMatrix]) -> tuple[int, ...]:
+    """The places of a generating set besides the one aggregate archimedean
+    place, which is always there: the sorted primes dividing any entry
+    denominator of any generator.
 
     Inverses contribute nothing new: adjugate entries have denominators
     dividing products of entry denominators, and det = 1.
@@ -112,12 +97,11 @@ def discover_places(gens: list[SqMatrix]) -> PlaceSet:
     for g in gens:
         _check_det_one(g)
         denom = math.lcm(denom, g.den)
-    primes = tuple(p for p, _ in prime_factors(denom))
-    return PlaceSet(primes=primes)
+    return tuple(p for p, _ in prime_factors(denom))
 
 
-def _check_places_complete(m: SqMatrix, places: PlaceSet):
-    missing = [p for p, _ in prime_factors(m.den) if p not in places.primes]
+def _check_places_complete(m: SqMatrix, places: tuple[int, ...]):
+    missing = [p for p, _ in prime_factors(m.den) if p not in places]
     if missing:
         raise PlaceSetIncomplete(missing)
 
@@ -196,12 +180,12 @@ def _charpoly_drift(
     return tuple(arch), padic, math.lcm(*ks) if len(c) == 1 else None
 
 
-def _drift(m: SqMatrix, places: PlaceSet, tol: float) -> tuple[DriftProfile, int | None]:
-    arch, padic, order = _charpoly_drift(charpoly(m), places.primes, tol)
+def _drift(m: SqMatrix, places: tuple[int, ...], tol: float) -> tuple[DriftProfile, int | None]:
+    arch, padic, order = _charpoly_drift(charpoly(m), places, tol)
     return DriftProfile(arch=arch, padic=dict(padic)), order
 
 
-def drift_profile(m: SqMatrix, places: PlaceSet, *, tol: float = 1e-12) -> DriftProfile:
+def drift_profile(m: SqMatrix, places: tuple[int, ...], *, tol: float = 1e-12) -> DriftProfile:
     """Sorted per-place drift coordinates of a det-1 rational matrix."""
     _check_det_one(m)
     _check_places_complete(m, places)
@@ -209,7 +193,7 @@ def drift_profile(m: SqMatrix, places: PlaceSet, *, tol: float = 1e-12) -> Drift
 
 
 def classify(
-    m: SqMatrix, places: PlaceSet, label: str | None = None, *, tol: float = 1e-12
+    m: SqMatrix, places: tuple[int, ...], label: str | None = None, *, tol: float = 1e-12
 ) -> Classification:
     """Total exact classification of a det-1 rational matrix.
 
@@ -227,7 +211,7 @@ def classify(
     _check_det_one(m, name=label)
     _check_places_complete(m, places)
     if m.is_identity():
-        zero = DriftProfile(arch=(0.0,) * m.n, padic={p: (Fraction(0),) * m.n for p in places.primes})
+        zero = DriftProfile(arch=(0.0,) * m.n, padic={p: (Fraction(0),) * m.n for p in places})
         return Classification(tag="Identity", profile=zero)
     profile, order = _drift(m, places, tol)
     if order == 1:

@@ -18,7 +18,7 @@ from .session import fraction_str
 if TYPE_CHECKING:
     from .flats import FlatCertificate
     from .manifold import GluingReport, NpcResult
-    from .places import Classification, DirectionProfile, DriftProfile, PlaceSet
+    from .places import Classification, DirectionProfile, DriftProfile
 
 __all__ = [
     "render_json",
@@ -107,9 +107,9 @@ def render_text(obj) -> str:
 # -- dict builders -----------------------------------------------------------
 
 
-def places_dict(places: PlaceSet) -> dict:
+def places_dict(places: tuple[int, ...]) -> dict:
     # the aggregate archimedean place is always in the set
-    return {"archimedean": True, "primes": list(places.primes)}
+    return {"archimedean": True, "primes": list(places)}
 
 
 def classification_dict(cls: Classification) -> dict:
@@ -119,8 +119,8 @@ def classification_dict(cls: Classification) -> dict:
     if cls.tag == "Ballistic":
         out["diagonalizable"] = cls.diagonalizable
         out["length2"] = {
-            "arch": cls.length2_arch,
-            "nonarch": cls.length2_nonarch,
+            "arch": cls.profile.length2_arch(),
+            "nonarch": cls.profile.length2_nonarch(),
         }
     return out
 
@@ -147,7 +147,7 @@ def flat_dict(cert: FlatCertificate) -> dict:
     return {
         "tag": "Degenerate",
         "latticeRank": cert.rank,
-        "nullVector": list(cert.null_vector),
+        "nullVector": list(cert.null_vectors[0]),
         "nullVectors": [list(v) for v in cert.null_vectors],
         "witness": cert.witness_word,
         "witnessClass": classification_dict(cert.witness_class),
@@ -160,10 +160,11 @@ def npc_dict(result: NpcResult, gluing_reports: list[GluingReport]) -> dict:
         "tori": {tid: flat_dict(cert) for tid, cert in result.tori},
     }
     if result.tag == "Obstruction":
+        cert = dict(result.tori)[result.obstruction_torus]
         out["obstruction"] = {
             "torus": result.obstruction_torus,
-            "witness": result.witness_word,
-            "witnessClass": classification_dict(result.witness_class),
+            "witness": cert.witness_word,
+            "witnessClass": classification_dict(cert.witness_class),
         }
     out["gluings"] = [
         {

@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DeterminantNotOne, DimensionMismatch, ParseError
-from .exact.numberfield import NumberField, make_field
+from .exact.numberfield import make_field
 from .exact.poly import Poly
 from .linalg import SqMatrix, embed_regular, regular_matrix
-from .places import PlaceSet, discover_places
+from .places import discover_places
 from .words import NAME_RE
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ def _rational(value) -> Fraction:
     raise ParseError(0, 'an exact rational "p/q"', value)
 
 
-def parse_scalar(value, field: NumberField | None):
+def parse_scalar(value, field: Poly | None):
     """One matrix entry: "p/q" string (or int) over Q; over Q(alpha), the
     regular matrix of a rational or of a coordinate list."""
     if isinstance(value, bool):
@@ -77,7 +77,7 @@ def parse_scalar(value, field: NumberField | None):
     raise ParseError(0, "a scalar string or coordinate array", value)
 
 
-def parse_matrix(rows, field: NumberField | None) -> list[list[Fraction | SqMatrix]]:
+def parse_matrix(rows, field: Poly | None) -> list[list[Fraction | SqMatrix]]:
     """The square entry grid of a matrix document."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(0, "a nonempty array of matrix rows", rows)
@@ -92,9 +92,8 @@ class SessionSpec:
     """Validated session: the rational embeddings of the generators, and
     the discovered places of the embedded family."""
 
-    field: NumberField | None
     embedded: dict[str, SqMatrix]
-    places: PlaceSet
+    places: tuple[int, ...]
 
 
 def _load_json(text: str):
@@ -108,7 +107,7 @@ def _load_json(text: str):
         raise ParseError(0, "valid JSON", str(e)) from None
 
 
-def _parse_field(doc) -> NumberField | None:
+def _parse_field(doc) -> Poly | None:
     coeffs = doc.get("field")
     if coeffs is None:
         return None
@@ -152,7 +151,7 @@ def parse_session(text: str) -> SessionSpec:
         except DeterminantNotOne as e:
             raise DeterminantNotOne(name=name, det=e.det) from None
     places = discover_places(list(embedded.values()))
-    return SessionSpec(field=field, embedded=embedded, places=places)
+    return SessionSpec(embedded=embedded, places=places)
 
 
 def _require_keys(obj, keys: tuple[str, ...], expected: str) -> None:

@@ -161,9 +161,14 @@ FLATS = {"flatcert.blocks", "flatcert.flats"}
 GRAPH_MODULES = FLATS | {"flatcert.manifold"}
 
 
+LOADED_MARK = "flatcert modules loaded: "
+
+
 def _flatcert_modules(code: str, cwd) -> tuple[int, set[str]]:
     """The exit code of a fresh interpreter that runs code, and the
-    flatcert.* modules in its sys.modules when it exits."""
+    flatcert.* modules in its sys.modules when it exits.  The list goes to
+    stderr on a marked line of its own, as the code's reports go to stdout
+    and a traceback to the end of stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     probe = (
@@ -172,12 +177,15 @@ def _flatcert_modules(code: str, cwd) -> tuple[int, set[str]]:
         + "".join(f"    {line}\n" for line in code.splitlines())
         + "finally:\n"
         "    loaded = [k for k in sys.modules if k.split('.')[0] == 'flatcert']\n"
-        "    print(sorted(loaded), file=sys.stderr)\n"
+        f"    print({LOADED_MARK!r} + repr(sorted(loaded)), file=sys.stderr, flush=True)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True
     )
-    return out.returncode, set(ast.literal_eval(out.stderr.splitlines()[-1]))
+    print(out.stderr, file=sys.stderr)  # pytest shows it when the test fails
+    marked = [ln for ln in out.stderr.splitlines() if ln.startswith(LOADED_MARK)]
+    assert marked, f"the probe printed no module list (exit {out.returncode}):\n{out.stderr}"
+    return out.returncode, set(ast.literal_eval(marked[-1][len(LOADED_MARK):]))
 
 
 @pytest.mark.parametrize(
@@ -234,7 +242,8 @@ def test_lazy_exports_resolve(tmp_path):
         "assert flatcert.linalg.block_decompose is flatcert.block_decompose\n"
         "assert callable(flatcert.parallel.pmap)\n"
         "for home, names in ((flatcert, ('tits_angle', 'finite_order', 'is_unipotent',\n"
-        "                                'NewtonSlopes')),\n"
+        "                                'NewtonSlopes', 'PlaceSet', 'NumberField')),\n"
+        "                    (flatcert.exact, ('NumberField',)),\n"
         "                    (flatcert.linalg, ('verify_commuting', 'CommutationWitness',\n"
         "                                       'BlockDecomposition'))):\n"
         "    for name in names:\n"

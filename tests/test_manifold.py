@@ -14,7 +14,6 @@ from flatcert import (
     CommutingFamily,
     GluingSpec,
     GraphRep,
-    PlaceSet,
     SqMatrix,
     TorusRep,
     discover_places,
@@ -69,6 +68,15 @@ def test_validate_examples():
     det2 = _rep(D2, D3, [GluingSpec(torus="T1", u=((2, 0), (0, 1)), second_basis_words=("a^2", "b"))])
     assert {v.kind for v in validate(det2)} == {"BadGluingMatrix"}
 
+    # a gluing on a repeated id checks the first torus with that id; there
+    # a = I, so the word a*a gives the U-word a although its exponent sums
+    # differ from U's column
+    dup = GraphRep.build(
+        [TorusRep(id="T1", a=SqMatrix.identity(2), b=D2), TorusRep(id="T1", a=D2, b=D3)],
+        [GluingSpec(torus="T1", u=((1, 0), (0, 1)), second_basis_words=("a*a", "b"))],
+    )
+    assert [v.kind for v in validate(dup)] == ["DuplicateTorus"]
+
 
 def test_npc_certificate_positive():
     result = npc_certificate(_rep(D2, D3))
@@ -81,15 +89,17 @@ def test_npc_obstruction_unipotent_torus():
     result = npc_certificate(_rep(U1, U5))
     assert result.tag == "Obstruction"
     assert result.obstruction_torus == "T1"
-    assert result.witness_word == "a"
-    assert result.witness_class.tag == "Unipotent"
+    cert = dict(result.tori)["T1"]
+    assert cert.witness_word == "a"
+    assert cert.witness_class.tag == "Unipotent"
 
 
 def test_npc_obstruction_dependent_directions():
     result = npc_certificate(_rep(D2, SqMatrix.diagonal([4, F(1, 4)])))
     assert result.tag == "Obstruction"
-    assert result.witness_word == "a^2*b^-1"
-    assert result.witness_class.tag == "Identity"
+    cert = dict(result.tori)[result.obstruction_torus]
+    assert cert.witness_word == "a^2*b^-1"
+    assert cert.witness_class.tag == "Identity"
 
 
 def test_obstruction_witness_power_is_unipotent():
@@ -99,12 +109,11 @@ def test_obstruction_witness_power_is_unipotent():
     assert a.commutes_with(b)
     result = npc_certificate(_rep(a, b))
     assert result.tag == "Obstruction"
-    cls = result.witness_class
+    cert = dict(result.tori)[result.obstruction_torus]
+    cls = cert.witness_class
     assert cls.tag in {"Unipotent", "VirtuallyUnipotent", "FiniteOrder", "Identity"}
     if cls.tag == "VirtuallyUnipotent":
-        t = _rep(a, b).torus("T1")
-        gens = {"a": t.a, "b": t.b}
-        w = word_eval(result.witness_word, gens)
+        w = word_eval(cert.witness_word, {"a": a, "b": b})
         assert is_unipotent(w**cls.order)
 
 
@@ -269,7 +278,7 @@ def test_validate_reports_det_with_explicit_places():
     """With explicit places, GraphRep.build runs no discover_places, so the
     det check is validate's own."""
     a, b = SqMatrix.diagonal([2, 1]), SqMatrix.identity(2)
-    rep = GraphRep.build([TorusRep(id="T1", a=a, b=b)], [], places=PlaceSet(primes=()))
+    rep = GraphRep.build([TorusRep(id="T1", a=a, b=b)], [], places=())
     assert validate(rep) == [Violation("T1", "DeterminantNotOne", "a has det 2")]
 
 

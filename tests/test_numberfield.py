@@ -75,7 +75,7 @@ def test_regular_matrix_is_ring_homomorphism():
     # minimal polynomial by sympy
     rng = random.Random(41)
     for f in FIELDS:
-        d, minpoly = f.degree, to_sympy(f.minpoly)
+        d, minpoly = f.degree, to_sympy(f)
         for _ in range(50):
             a = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
             b = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
@@ -92,5 +92,5 @@ def test_inverse_via_extended_euclid_random():
         coords = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
         if not any(coords):
             continue
-        inv = from_sympy(to_sympy(Poly(coords)).invert(to_sympy(f.minpoly)))
+        inv = from_sympy(to_sympy(Poly(coords)).invert(to_sympy(f)))
         assert regular_matrix(coords, f).inverse() == regular_matrix(inv.coeffs, f)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcert import (
-    PlaceSet,
     Poly,
     SqMatrix,
     classify,
@@ -159,7 +158,7 @@ def _conjugated_s_units(seed: int, primes: tuple[int, ...], block: list[list[int
 def test_arch_drift_candidate_search_is_bounded(primes, block, factor_calls, aberth_calls):
     m = _conjugated_s_units(16, primes, block)
     places = discover_places([m])
-    assert places.primes == primes
+    assert places == primes
     cp = charpoly(m)
     with (
         mock.patch("flatcert.places.complex_roots", wraps=complex_roots) as aberth,
@@ -192,34 +191,34 @@ def test_arch_drift_factors_a_cofactor_over_budget():
 
 
 def test_discover_places_examples():
-    assert discover_places([SqMatrix([[1, 1], [0, 1]])]).primes == ()
+    assert discover_places([SqMatrix([[1, 1], [0, 1]])]) == ()
     gens = [SqMatrix.diagonal([2, F(1, 2)]), SqMatrix.diagonal([3, F(1, 3)])]
-    assert discover_places(gens).primes == (2, 3)
-    assert discover_places([SqMatrix.diagonal([F(1, 6), 6])]).primes == (2, 3)
+    assert discover_places(gens) == (2, 3)
+    assert discover_places([SqMatrix.diagonal([F(1, 6), 6])]) == (2, 3)
     with pytest.raises(DeterminantNotOne):
         discover_places([SqMatrix.diagonal([2, 1])])
 
 
 def test_drift_profile_examples():
     m = SqMatrix.diagonal([2, F(1, 2)])
-    prof = drift_profile(m, PlaceSet(primes=(2,)))
+    prof = drift_profile(m, (2,))
     assert prof.padic[2] == (F(1), F(-1))
     assert abs(prof.arch[0] - math.log(2)) < 1e-12
     assert abs(prof.arch[1] + math.log(2)) < 1e-12
 
     uni = SqMatrix([[1, 1], [0, 1]])
-    prof = drift_profile(uni, PlaceSet(primes=()))
+    prof = drift_profile(uni, ())
     assert prof.arch == (0.0, 0.0)
 
     fib = SqMatrix([[2, 1], [1, 1]])
-    prof = drift_profile(fib, PlaceSet(primes=()))
+    prof = drift_profile(fib, ())
     lam = (3 + math.sqrt(5)) / 2
     assert abs(prof.arch[0] - math.log(lam)) < 1e-11
     assert abs(prof.arch[1] + math.log(lam)) < 1e-11
 
 
 def test_classify_examples():
-    places = PlaceSet(primes=(2,))
+    places = (2,)
     ident = SqMatrix.identity(2)
     cls = classify(ident, places)
     assert cls.tag == "Identity"
@@ -233,14 +232,15 @@ def test_classify_examples():
     cls = classify(SqMatrix.diagonal([2, F(1, 2)]), places)
     assert cls.tag == "Ballistic"
     assert cls.diagonalizable is True
-    assert cls.length2_nonarch == 2
-    assert abs(cls.length2_arch + float(cls.length2_nonarch) - 2.9609060278) < 1e-9
+    arch, nonarch = cls.profile.length2_arch(), cls.profile.length2_nonarch()
+    assert nonarch == 2
+    assert abs(arch + float(nonarch) - 2.9609060278) < 1e-9
 
 
 def test_classify_virtually_unipotent():
     # -1 times a nontrivial unipotent: square is unipotent and nontrivial
     m = SqMatrix([[-1, 1], [0, -1]])
-    cls = classify(m, PlaceSet(primes=()))
+    cls = classify(m, ())
     assert cls.tag == "VirtuallyUnipotent"
     assert cls.order == 2
     assert is_unipotent(m**2) and not (m**2).is_identity()
@@ -248,12 +248,12 @@ def test_classify_virtually_unipotent():
 
 def test_classify_requires_complete_places():
     with pytest.raises(PlaceSetIncomplete):
-        classify(SqMatrix.diagonal([2, F(1, 2)]), PlaceSet(primes=()))
+        classify(SqMatrix.diagonal([2, F(1, 2)]), ())
 
 
 def test_classification_conjugation_invariant():
     rng = random.Random(83)
-    places = PlaceSet(primes=(2,))
+    places = (2,)
     for m in det1_corpus(311, 40, sizes=(2, 3)):
         c = unimodular(rng, m.n)
         mc = m.conjugate_by(c)
@@ -265,11 +265,11 @@ def test_classification_conjugation_invariant():
 
 
 def test_inverse_symmetry_and_power_scaling():
-    places = PlaceSet(primes=(2, 3))
+    places = (2, 3)
     for m in det1_corpus(313, 25, sizes=(2, 3)):
         prof = drift_profile(m, places)
         prof_inv = drift_profile(m.inverse(), places)
-        for p in places.primes:
+        for p in places:
             assert prof_inv.padic[p] == tuple(sorted((-v for v in prof.padic[p]), reverse=True))
         assert all(
             abs(x - y) < 1e-9
@@ -277,21 +277,22 @@ def test_inverse_symmetry_and_power_scaling():
         )
         cls = classify(m, places)
         cls_inv = classify(m.inverse(), places)
+        arch, nonarch = cls.profile.length2_arch(), cls.profile.length2_nonarch()
         if cls.tag == "Ballistic":
-            assert cls_inv.length2_nonarch == cls.length2_nonarch
-            assert abs(cls_inv.length2_arch - cls.length2_arch) < 1e-8
+            assert cls_inv.profile.length2_nonarch() == nonarch
+            assert abs(cls_inv.profile.length2_arch() - arch) < 1e-8
         # power scaling of squared length, k <= 5
         if cls.tag == "Ballistic":
             for k in (2, 3, 5):
                 ck = classify(m**k, places)
-                assert ck.length2_nonarch == k * k * cls.length2_nonarch
-                if cls.length2_arch > 1e-12:
-                    assert abs(ck.length2_arch - k * k * cls.length2_arch) <= 1e-8 * k * k * cls.length2_arch
+                assert ck.profile.length2_nonarch() == k * k * nonarch
+                if arch > 1e-12:
+                    assert abs(ck.profile.length2_arch() - k * k * arch) <= 1e-8 * k * k * arch
 
 
 def test_triangular_drift_equals_diagonal_part():
     rng = random.Random(97)
-    places = PlaceSet(primes=(2, 3))
+    places = (2, 3)
     diag_pool = [F(1), F(2), F(1, 2), F(3), F(2, 3), F(-1)]
     for _ in range(25):
         n = rng.choice([2, 3])
@@ -312,7 +313,7 @@ def test_triangular_drift_equals_diagonal_part():
 
 
 def test_zero_sum_per_place():
-    places = PlaceSet(primes=(2,))
+    places = (2,)
     for m in det1_corpus(317, 40, sizes=(2, 3, 4)):
         prof = drift_profile(m, places)
         assert sum(prof.padic[2], F(0)) == 0
@@ -321,7 +322,7 @@ def test_zero_sum_per_place():
 
 def test_direction_profile_examples():
     m = SqMatrix.diagonal([2, F(1, 2)])
-    d = direction_profile(classify(m, PlaceSet(primes=(2,))))
+    d = direction_profile(classify(m, (2,)))
     r_arch = math.sqrt(2) * math.log(2)
     assert abs(d.norms["arch"] - r_arch) < 1e-11
     assert abs(d.norms["2"] - math.sqrt(2)) < 1e-12
@@ -330,7 +331,7 @@ def test_direction_profile_examples():
 
     # scaling invariance: diag(4,1/4) has the same unit vectors and angles
     m2 = SqMatrix.diagonal([4, F(1, 4)])
-    d2 = direction_profile(classify(m2, PlaceSet(primes=(2,))))
+    d2 = direction_profile(classify(m2, (2,)))
     for lbl in d.units:
         assert all(abs(x - y) < 1e-10 for x, y in zip(d.units[lbl], d2.units[lbl]))
     for pair in d.angles:
@@ -338,11 +339,11 @@ def test_direction_profile_examples():
 
     # single place: no angles
     fib = SqMatrix([[2, 1], [1, 1]])
-    d3 = direction_profile(classify(fib, PlaceSet(primes=())))
+    d3 = direction_profile(classify(fib, ()))
     assert d3.angles == {}
 
     with pytest.raises(NotBallistic):
-        direction_profile(classify(SqMatrix([[1, 1], [0, 1]]), PlaceSet(primes=())))
+        direction_profile(classify(SqMatrix([[1, 1], [0, 1]]), ()))
 
 
 def test_classification_totality_on_corpus():

@@ -12,6 +12,7 @@ from flatcert import parse_session
 from flatcert.cli import main
 from flatcert.errors import DeterminantNotOne, DimensionMismatch, NotIrreducible, ParseError
 from flatcert.session import _rational
+from flatcert.words import power_word
 
 SESSION = json.dumps(
     {
@@ -27,8 +28,8 @@ SESSION = json.dumps(
 def test_parse_session_ok():
     spec = parse_session(SESSION)
     assert set(spec.embedded) == {"a", "b", "c", "u"}
-    assert spec.places.primes == (2, 3)
-    assert spec.field is None
+    assert spec.places == (2, 3)
+    assert spec.embedded["a"].n == 2
 
 
 def test_parse_session_field():
@@ -38,9 +39,8 @@ def test_parse_session_field():
         "generators": {"g": [[["0", "1"], "0"], ["0", ["0", "1/2"]]]},
     }
     spec = parse_session(json.dumps(doc))
-    assert spec.field is not None and spec.field.degree == 2
     assert spec.embedded["g"].n == 4
-    assert spec.places.primes == (2,)
+    assert spec.places == (2,)
 
 
 def test_parse_session_errors():
@@ -214,6 +214,10 @@ def test_cli_flat_exit_codes():
     assert doc["tag"] == "Degenerate"
     assert doc["nullVector"] in ([2, -1], [-2, 1])
     assert doc["witness"] == "a^2*c^-1"
+    # the reported null vector is the first independent one, and the
+    # witness is its power word
+    assert doc["nullVector"] == doc["nullVectors"][0]
+    assert doc["witness"] == power_word(list(zip(("a", "c"), doc["nullVector"])))
 
 
 def test_cli_decompose():
