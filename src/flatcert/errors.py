@@ -110,10 +110,9 @@ class PlaceSetIncomplete(FlatcertError):
     module = "places"
 
     def __init__(self, missing_primes):
-        self.missing_primes = tuple(missing_primes)
         super().__init__(
             "entry denominators involve primes outside the discovered place set: "
-            + ", ".join(str(p) for p in self.missing_primes)
+            + ", ".join(str(p) for p in missing_primes)
         )
 
 

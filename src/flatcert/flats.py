@@ -5,20 +5,21 @@ The Gram matrix of translation vectors is assembled by polarization,
 because they are simultaneously triangularizable, making drift additive
 under the joint eigenvalue indexing.  The non-archimedean part is exact;
 positive definiteness is decided exactly, by integer elimination, on the
-float combined Gram but only certified together with an exact PSD check,
-and every degenerate direction is confirmed by classifying an explicit
-witness word, so no certificate ever rests on floating point alone.
+float combined Gram but only certified together with an exact PSD check.
+Degenerate directions are searched by one LLL reduction of Z^r under the
+combined Gram rounded to an integer form at the PD threshold's scale, and
+every one is confirmed by classifying an explicit witness word, so no
+certificate ever rests on floating point alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, NotCommuting, NumericalInconclusive
-from .blocks import kernel_basis, verify_commuting
+from .blocks import verify_commuting
 from .linalg import SqMatrix
 from .places import Classification, _drift, classify, discover_places, drift_profile
 from .words import power_word
@@ -191,14 +192,6 @@ def _primitive(vec: list[Fraction]) -> tuple[int, ...] | None:
     return tuple(ints)
 
 
-def _rationalize(vec: tuple[float, ...]) -> tuple[int, ...] | None:
-    scale = max(abs(x) for x in vec)
-    if scale == 0:
-        return None
-    fr = [Fraction(x / scale).limit_denominator(10**6) for x in vec]
-    return _primitive(fr)
-
-
 def _lattice_covolume(combined, shift: float) -> float | None:
     """sqrt(det) of a float Gram whose smallest eigenvalue exceeds shift,
     else None; exact on the float entries, by Sylvester's criterion."""
@@ -212,86 +205,67 @@ def _lattice_covolume(combined, shift: float) -> float | None:
     return math.sqrt(_pivots(a)[-1] / d ** len(a))
 
 
-def _independent_over_q(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Greedy maximal Q-independent subset, preserving order: a vector is
-    kept iff its pivot in the integer Gram of all the vectors is nonzero."""
-    dots = [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
-    return [v for v, p in zip(vectors, _pivots(dots)) if p]
-
-
-def _eigh(g) -> tuple[list[float], list[tuple[float, ...]]]:
-    """Ascending eigenvalues and unit eigenvectors of a small symmetric
-    float matrix, by cyclic Jacobi rotations."""
-    n = len(g)
-    # a power-of-two scale to unit size is exact and leaves every rotation
-    # angle as it is, and keeps a subnormal Gram from losing its precision
-    e = math.frexp(max((abs(x) for row in g for x in row), default=0.0))[1]
-    a = [[math.ldexp(x, -e) for x in row] for row in g]
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    tiny = 2.0**-60 * math.sqrt(sum(x * x for row in a for x in row))
-    pairs = list(itertools.combinations(range(n), 2))
-    for _ in range(64):
-        if all(abs(a[p][q]) <= tiny for p, q in pairs):
-            break
-        for p, q in pairs:
-            # the inner rotation angle, |phi| <= pi/4, that zeroes a[p][q]
-            d = a[q][q] - a[p][p]
-            phi = 0.5 * math.atan2(math.copysign(2.0, d) * a[p][q], abs(d))
-            c, s = math.cos(phi), math.sin(phi)
-            rp, rq = a[p], a[q]
-            a[p] = [c * x - s * y for x, y in zip(rp, rq)]
-            a[q] = [s * x + c * y for x, y in zip(rp, rq)]
-            for row in a + v:
-                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-            a[p][q] = a[q][p] = 0.0
-    order = sorted(range(n), key=lambda k: a[k][k])
-    return [math.ldexp(a[k][k], e) for k in order], [tuple(row[k] for row in v) for k in order]
+def _lll(form: list[list[int]]) -> list[list[int]]:
+    """An LLL-reduced basis (delta = 3/4) of Z^r under a positive definite
+    integer Gram form (Lenstra, Lenstra & Lovasz 1982; Cohen, Alg. 2.6.3),
+    with the Gram-Schmidt data exact over Fraction."""
+    r = len(form)
+    basis = [[int(i == j) for j in range(r)] for i in range(r)]
+    k = 1
+    while k < r:
+        dots = [[sum(x * f * y for x, row in zip(u, form) for f, y in zip(row, v)) for v in basis]
+                for u in basis]
+        # mu is unit lower triangular, so a row operation on basis is one on mu
+        mu = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        norms: list[Fraction] = []
+        for i in range(r):
+            for j in range(i):
+                dot = dots[i][j] - sum(mu[j][l] * mu[i][l] * norms[l] for l in range(j))
+                mu[i][j] = dot / norms[j]
+            norms.append(Fraction(dots[i][i]) - sum(mu[i][l] ** 2 * norms[l] for l in range(i)))
+            if norms[i] <= 0:
+                raise NumericalInconclusive(
+                    "the rounded Gram form of the witness search is not positive definite"
+                )
+        for j in reversed(range(k)):
+            q = round(mu[k][j])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                mu[k] = [x - q * y for x, y in zip(mu[k], mu[j])]
+        if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return basis
 
 
 def _null_candidates(
     g: GramData, combined: tuple[tuple[float, ...], ...], threshold: float
 ) -> list[tuple[int, ...]]:
     """Primitive integer candidates for null vectors of the combined Gram,
-    ordered by (max-norm, lexicographic)."""
+    ordered by (max-norm, lexicographic).
+
+    They are the vectors of one LLL-reduced basis of Z^r under the integer
+    form round(combined / threshold) + r * I (r * I when threshold is 0)
+    that the exact non-archimedean part annihilates and whose combined Gram
+    value is at most r * threshold * |v|^2.  On a null vector the rounding
+    moves the form by at most r/2 * |v|^2, so null vectors stay short while
+    every other direction is scaled up past the threshold."""
     r = g.rank
-    eigvals, eigvecs = _eigh(combined)
-    basis: list[tuple[int, ...]] = []
-    for k in range(r):
-        if eigvals[k] <= threshold:
-            v = _rationalize(eigvecs[k])
-            if v is not None and v not in basis:
-                basis.append(v)
-    # exact null vectors of the non-archimedean part are candidates too
-    for v in kernel_basis(SqMatrix([[x for x in row] for row in g.nonarch])):
-        pv = _primitive(v)
-        if pv is not None and pv not in basis:
-            basis.append(pv)
-    candidates: set[tuple[int, ...]] = set()
-    for v in basis:
-        candidates.add(v)
-    # small integer recombinations, in case the eigenvectors mix directions
-    span = basis[: min(len(basis), 4)]
-    if span:
-        for coeffs in itertools.product(range(-2, 3), repeat=len(span)):
-            if all(c == 0 for c in coeffs):
-                continue
-            vec = [Fraction(sum(c * v[i] for c, v in zip(coeffs, span))) for i in range(r)]
-            pv = _primitive(vec)
-            if pv is not None:
-                candidates.add(pv)
-    # exact screen: a true null vector annihilates the exact part outright
-    screened = []
-    for v in candidates:
-        gv = [sum(g.nonarch[i][j] * v[j] for j in range(r)) for i in range(r)]
-        if any(x != 0 for x in gv):
+    scale = 1 / Fraction(threshold) if threshold else 0
+    form = [[round(Fraction(x) * scale) + r * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(combined)]
+    candidates = []
+    for v in _lll(form):
+        if any(sum(x * y for x, y in zip(row, v)) for row in g.nonarch):
             continue
-        resid = max(abs(sum(x * y for x, y in zip(row, v))) for row in combined)
-        if resid > math.sqrt(threshold + 1e-300) * (1.0 + max(abs(x) for x in v)):
-            continue
-        screened.append(v)
+        value = sum(x * v[i] * v[j] for i, row in enumerate(combined) for j, x in enumerate(row))
+        if value <= r * threshold * sum(x * x for x in v):
+            candidates.append(_primitive(v))
     # smallest max-norm first, then fewest nonzero coordinates, then weight
     # on the earliest generators, so witnesses are reproducible
-    screened.sort(
+    candidates.sort(
         key=lambda v: (
             max(abs(x) for x in v),
             sum(1 for x in v if x),
@@ -299,7 +273,7 @@ def _null_candidates(
             v,
         )
     )
-    return screened
+    return candidates
 
 
 def flat_certificate(
@@ -338,13 +312,12 @@ def flat_certificate(
             "combined Gram is numerically singular but no rational null direction "
             "could be verified by an exact witness"
         )
-    # _independent_over_q keeps the first vector (pivot |v|^2 > 0): it is verified[0]
-    independent = _independent_over_q([v for v, _, _ in verified])
+    # distinct vectors of one basis of Z^r are independent over Q
     _, word, cls = verified[0]
     return FlatCertificate(
         tag="Degenerate",
-        rank=r - len(independent),
+        rank=r - len(verified),
         witness_word=word,
         witness_class=cls,
-        null_vectors=tuple(independent),
+        null_vectors=tuple(v for v, _, _ in verified),
     )

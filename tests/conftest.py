@@ -309,9 +309,8 @@ def gram_close(second, transported_nonarch, transported_arch) -> tuple[bool, flo
 
 
 # -- numpy oracle for the Gram decisions of flats ----------------------------
-# Reference float decisions by eigvalsh, det and eigh, which the exact integer
-# eliminations and the Jacobi eigensolver of flats are checked against; numpy
-# is a test dependency only.
+# Reference float decisions by eigvalsh and det, which the exact integer
+# eliminations of flats are checked against; numpy is a test dependency only.
 
 
 def numpy_lattice_decision(combined, pd_epsilon: float) -> tuple[bool, float, float, float]:
@@ -324,7 +323,6 @@ def numpy_lattice_decision(combined, pd_epsilon: float) -> tuple[bool, float, fl
     return trace > 0 and min_eig > pd_epsilon * trace, min_eig, trace, covolume
 
 
-def numpy_eigh(combined) -> tuple[list[float], list[tuple[float, ...]]]:
-    """Ascending eigenvalues and unit eigenvectors, as tuples, by eigh."""
-    w, v = np.linalg.eigh(np.array(combined, dtype=float))
-    return [float(x) for x in w], [tuple(float(x) for x in v[:, k]) for k in range(len(w))]
+def numpy_eigvalsh(combined) -> list[float]:
+    """Ascending eigenvalues by eigvalsh."""
+    return [float(x) for x in np.linalg.eigvalsh(np.array(combined, dtype=float))]

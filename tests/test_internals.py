@@ -1,16 +1,19 @@
-"""Exact PSD check, null-vector rationalization, the serial pmap, the
-names each module exports, and the layering of the exact package."""
+"""Exact PSD check, LLL reduction, null-vector normalization, the serial
+pmap, the names each module exports, and the layering of the exact
+package."""
 
 import ast
 import importlib
 import pkgutil
+import random
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import flatcert
 
-from flatcert.flats import _independent_over_q, _integer_form, _pivots, _primitive, _rationalize
+from flatcert.flats import _integer_form, _lll, _pivots, _primitive
+from flatcert.linalg import SqMatrix
 from flatcert.parallel import pmap
 
 
@@ -42,17 +45,35 @@ def test_pivots_are_leading_minors():
     assert _integer_form(((0.5, 0.25), (0.25, 1.0))) == ([[2, 1], [1, 4]], 4)
 
 
-def test_independent_over_q_keeps_the_first_of_each_new_direction():
-    vectors = [(1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 3, 1), (0, 0, 1)]
-    assert _independent_over_q(vectors) == [(1, 2, 0), (0, 1, 1), (0, 0, 1)]
+def test_lll_returns_a_reduced_basis():
+    """On random positive definite integer forms B^T B + I: a basis of Z^r
+    (determinant +-1), size reduced (|mu| <= 1/2) and Lovasz reduced with
+    delta = 3/4, by Gram-Schmidt computed here from scratch."""
+    rng = random.Random(151)
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        b = [[rng.randint(-30, 30) for _ in range(r)] for _ in range(r)]
+        form = [[sum(row[i] * row[j] for row in b) + (i == j) for j in range(r)] for i in range(r)]
+        basis = _lll(form)
+        assert SqMatrix(basis).det() in (1, -1)
+        dots = [[sum(x * f * y for x, row in zip(u, form) for f, y in zip(row, v)) for v in basis]
+                for u in basis]
+        mu = [[F(0)] * r for _ in range(r)]
+        norms = []
+        for i in range(r):
+            for j in range(i):
+                dot = dots[i][j] - sum(mu[j][l] * mu[i][l] * norms[l] for l in range(j))
+                mu[i][j] = dot / norms[j]
+                assert abs(mu[i][j]) <= F(1, 2)
+            norms.append(F(dots[i][i]) - sum(mu[i][l] ** 2 * norms[l] for l in range(i)))
+            if i:
+                assert norms[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
 
 
-def test_primitive_and_rationalize():
+def test_primitive():
     assert _primitive([F(2, 3), F(-1, 3)]) == (2, -1)
     assert _primitive([F(0), F(0)]) is None
     assert _primitive([F(-4), F(2)]) == (2, -1)
-    assert _rationalize((0.89442719, -0.4472136)) == (2, -1)  # (2,-1)/sqrt(5)
-    assert _rationalize((0.0, 0.0)) is None
 
 
 def test_pmap_orders_results():

@@ -1,7 +1,8 @@
-"""Construction-oracle sweeps of `decompose` and `graph`: seeded commuting
-families from bench/gen.py, and graphs of such tori from bench/workloads.py,
-whose blocks and certificates are known from their construction, are
-checked by bench/oracle.py against the report the CLI prints.
+"""Construction-oracle sweeps of `decompose`, `flat` and `graph`: seeded
+commuting families from bench/gen.py, and graphs of such tori from
+bench/workloads.py, whose blocks and certificates are known from their
+construction, are checked by bench/oracle.py against the report the CLI
+prints.
 
 The bench modules are imported read-only: no bytecode is written under
 bench/.
@@ -47,6 +48,42 @@ def test_decompose_matches_construction(tmp_path, d, n):
         path.write_text(json.dumps(doc))
         res = CliRunner().invoke(main, ["-i", str(path), "decompose", "a", "b"])
         oracle.check(oracle.expect_blocks(models, fld), res.exit_code, res.stdout)
+
+
+# (field degree, n, rank, dependent) with n * d from 2 to 16 and n >= rank
+FLAT_CASES = [
+    (d, n, rank, dependent)
+    for d, n in CASES
+    for rank in (2, 3)
+    for dependent in (False, True)
+    if n >= rank
+]
+# requests that end in a structured error today, by (d, n, rank, dependent,
+# seed): ROADMAP item 1's absolute root tolerance, missed in a degree-4 field
+FLAT_ERRORS = {(4, 4, 3, True, 0): "ToleranceNotReached"}
+
+
+@pytest.mark.parametrize(
+    "d, n, rank, dependent",
+    FLAT_CASES,
+    ids=[f"d{d}-nd{n * d}-r{r}{'-dep' if dep else ''}" for d, n, r, dep in FLAT_CASES],
+)
+def test_flat_matches_construction(tmp_path, d, n, rank, dependent):
+    fld = gen.FIELDS[d]
+    for seed in range(2):
+        rng = random.Random(f"flat/{d}/{n}/{rank}/{dependent}/{seed}")
+        models = gen.family(rng, n, d, rank, dependent)
+        names = "abc"[:rank]
+        doc, _ = gen.build_doc(rng, fld, dict(zip(names, models)), "generators")
+        path = tmp_path / f"s{seed}.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["-i", str(path), "flat", *names])
+        error = FLAT_ERRORS.get((d, n, rank, dependent, seed))
+        if error is None:
+            oracle.check(oracle.expect_flat(models, fld), res.exit_code, res.stdout)
+        else:
+            assert res.exit_code == 1
+            assert json.loads(res.stderr)["error"]["type"] == error
 
 
 # torus kinds at n = 2-4; a unipotent torus needs n >= 3
